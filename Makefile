@@ -1,8 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race test-no-mmap fuzz-smoke metrics-smoke bench-shards bench-shards-smoke bench-cascade bench-cascade-smoke bench-refine bench-refine-smoke bench-flat bench-flat-smoke bench-knn bench-knn-smoke bench-cache bench-cache-smoke bench-wal bench-wal-smoke crash-tests
+.PHONY: ci fmt vet perfbench-vet build test race test-no-mmap fuzz-smoke metrics-smoke bench-shards bench-shards-smoke bench-cascade bench-cascade-smoke bench-refine bench-refine-smoke bench-flat bench-flat-smoke bench-knn bench-knn-smoke bench-cache bench-cache-smoke bench-wal bench-wal-smoke crash-tests
 
-# Full gate: formatting, static checks, build, the whole test suite
+# Full gate: formatting, static checks (including the nested perfbench
+# module, which the root ./... patterns skip), build, the whole test suite
 # (including the fault-injection recovery tests) under the race detector,
 # the flat-engine suite re-run with mmap disabled (the eager-read fallback
 # must behave identically), a short fuzz pass over the envelope/lower-bound
@@ -18,7 +19,7 @@ GO ?= go
 # suite (torn tail, corrupt middle record, duplicate replay — each recovered
 # state compared record-for-record against a never-crashed database), and the
 # WAL write-path smoke with its kill-and-reopen acked-loss check.
-ci: fmt vet build race test-no-mmap fuzz-smoke metrics-smoke bench-shards-smoke bench-cascade-smoke bench-refine-smoke bench-flat-smoke bench-knn-smoke bench-cache-smoke crash-tests bench-wal-smoke
+ci: fmt vet perfbench-vet build race test-no-mmap fuzz-smoke metrics-smoke bench-shards-smoke bench-cascade-smoke bench-refine-smoke bench-flat-smoke bench-knn-smoke bench-cache-smoke crash-tests bench-wal-smoke
 
 # The flat-engine packages once more with TWSIM_NO_MMAP=1: every snapshot
 # open goes through the eager read-and-checksum fallback instead of the
@@ -29,14 +30,18 @@ test-no-mmap:
 # Short coverage-guided fuzz passes over the ordering oracles: the deque
 # envelope vs the quadratic reference, the lower-bound chain
 # LB_Keogh <= LB_Improved <= BandDistance with BandDistance >= Distance,
-# the flat-slab codec, and the mmap snapshot loader (hostile files must
-# error out or load into an index that walks without faulting).
+# the flat-slab codec, the mmap snapshot loader (hostile files must
+# error out or load into an index that walks without faulting), and the two
+# replica decoders — snapshot and WAL-tail bytes arrive from the network and
+# must either be rejected or apply to a replica that still passes Verify.
 # Go permits one fuzz target per -fuzz run, so each gets its own pass.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzBandedBoundChain$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzSlabRoundtrip$$' -fuzztime=5s ./internal/flatidx
 	$(GO) test -run=^$$ -fuzz='^FuzzMmapLoad$$' -fuzztime=5s ./internal/flatidx
+	$(GO) test -run=^$$ -fuzz='^FuzzDecodeReplSnapshot$$' -fuzztime=5s .
+	$(GO) test -run=^$$ -fuzz='^FuzzParseWALRecords$$' -fuzztime=5s .
 
 # Boots a real twsimd on an ephemeral port, drives traffic, and verifies
 # GET /metrics is valid Prometheus exposition with the key series present
@@ -53,6 +58,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark harness is its own module (perfbench/go.mod), so the root
+# ./... patterns skip it; vet it separately so a public-API change that
+# breaks the benchmark fails CI.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

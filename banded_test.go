@@ -1,6 +1,7 @@
 package twsim_test
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -46,7 +47,7 @@ func TestBandedSearchMatchesBruteForce(t *testing.T) {
 				}
 				t.Run(label, func(t *testing.T) {
 					opts := twsim.Options{Base: base, RefineWorkers: workers}
-					var db twsim.Backend
+					var db queryDB
 					var err error
 					if sharded {
 						db, err = twsim.OpenMemSharded(twsim.ShardedOptions{Options: opts, Shards: 3})
@@ -70,7 +71,7 @@ func TestBandedSearchMatchesBruteForce(t *testing.T) {
 						eps := 0.1 + rng.Float64()*0.6
 						band := 1 + rng.Intn(6)
 						want := bandedBrute(data, ids, q, base, eps, band)
-						res, err := db.SearchBand(q, eps, band)
+						res, err := db.SearchCtx(bg, q, eps, band)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -106,7 +107,7 @@ func TestNearestKBandMatchesBruteForce(t *testing.T) {
 	for _, sharded := range []bool{false, true} {
 		name := map[bool]string{false: "db", true: "sharded"}[sharded]
 		t.Run(name, func(t *testing.T) {
-			var db twsim.Backend
+			var db queryDB
 			var err error
 			if sharded {
 				db, err = twsim.OpenMemSharded(twsim.ShardedOptions{Shards: 3})
@@ -134,10 +135,11 @@ func TestNearestKBandMatchesBruteForce(t *testing.T) {
 				if len(want) > k {
 					want = want[:k]
 				}
-				got, err := db.NearestKBand(q, k, band)
+				res, err := db.NearestKCtx(bg, q, k, band)
 				if err != nil {
 					t.Fatal(err)
 				}
+				got := res.Matches
 				if len(got) != len(want) {
 					t.Fatalf("trial %d k=%d band=%d: index %d, brute force %d",
 						trial, k, band, len(got), len(want))
@@ -154,8 +156,8 @@ func TestNearestKBandMatchesBruteForce(t *testing.T) {
 }
 
 // TestDefaultBandOption: a database opened with Options.Band answers every
-// default-method query under that band — Search/NearestK/SearchBatch must
-// agree with the explicit SearchBand on a band-less database.
+// default-band query under that band — Search must agree with an explicit
+// SearchCtx band on a band-less database.
 func TestDefaultBandOption(t *testing.T) {
 	data := randomWalks(2031, 60, 10, 24)
 	const band = 3
@@ -177,7 +179,7 @@ func TestDefaultBandOption(t *testing.T) {
 	}
 	q := data[7]
 	const eps = 0.4
-	want, err := plain.SearchBand(q, eps, band)
+	want, err := plain.SearchCtx(bg, q, eps, band)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func TestDefaultBandOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got.Matches) != len(want.Matches) {
-		t.Fatalf("default-band Search: %d matches, explicit SearchBand %d",
+		t.Fatalf("default-band Search: %d matches, explicit SearchCtx %d",
 			len(got.Matches), len(want.Matches))
 	}
 	for i := range want.Matches {
@@ -199,7 +201,7 @@ func TestDefaultBandOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotU, err := banded.SearchBand(q, eps, 0)
+	gotU, err := banded.SearchCtx(bg, q, eps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +223,7 @@ func TestNegativeBandRejected(t *testing.T) {
 	for _, sharded := range []bool{false, true} {
 		name := map[bool]string{false: "db", true: "sharded"}[sharded]
 		t.Run(name, func(t *testing.T) {
-			var db twsim.Backend
+			var db queryDB
 			var err error
 			if sharded {
 				db, err = twsim.OpenMemSharded(twsim.ShardedOptions{Shards: 2})
@@ -236,17 +238,14 @@ func TestNegativeBandRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 			q := data[0]
-			if _, err := db.SearchBand(q, 0.5, -1); err == nil {
-				t.Error("SearchBand(-1) succeeded, want error")
+			if _, err := db.SearchCtx(bg, q, 0.5, -1); !errors.Is(err, twsim.ErrInvalidQuery) {
+				t.Errorf("SearchCtx(band -1): %v, want ErrInvalidQuery", err)
 			}
-			if _, err := db.NearestKBand(q, 3, -2); err == nil {
-				t.Error("NearestKBand(-2) succeeded, want error")
+			if _, err := db.NearestKCtx(bg, q, 3, -2); !errors.Is(err, twsim.ErrInvalidQuery) {
+				t.Errorf("NearestKCtx(band -2): %v, want ErrInvalidQuery", err)
 			}
-			if _, err := db.NearestKStatsBand(q, 3, -1); err == nil {
-				t.Error("NearestKStatsBand(-1) succeeded, want error")
-			}
-			if _, err := db.SearchBatchBand([][]float64{q}, 0.5, -3, 0); err == nil {
-				t.Error("SearchBatchBand(-3) succeeded, want error")
+			if _, err := db.SearchBatchCtx(bg, [][]float64{q}, 0.5, -3, 0); !errors.Is(err, twsim.ErrInvalidQuery) {
+				t.Errorf("SearchBatchCtx(band -3): %v, want ErrInvalidQuery", err)
 			}
 		})
 	}
@@ -282,7 +281,7 @@ func TestEnvelopeSidecarPersistence(t *testing.T) {
 	if err := db.Verify(); err != nil {
 		t.Fatalf("verify after reopen: %v", err)
 	}
-	want, err := db.SearchBand(data[3], 0.4, 2)
+	want, err := db.SearchCtx(bg, data[3], 0.4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +307,7 @@ func TestEnvelopeSidecarPersistence(t *testing.T) {
 	if err := db.Verify(); err != nil {
 		t.Fatalf("verify after rebuild: %v", err)
 	}
-	got, err := db.SearchBand(data[3], 0.4, 2)
+	got, err := db.SearchCtx(bg, data[3], 0.4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,109 +4,44 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/seq"
+	"repro/internal/workpool"
 )
 
-// SearchBatch runs many whole-matching queries concurrently (the DB is safe
-// for concurrent readers) and returns one Result per query, in input order.
-// parallelism <= 0 selects GOMAXPROCS. The first error aborts the batch.
-// Every query is validated for non-finite elements upfront (ErrNonFinite);
-// each Result gets its own RequestID and slow-query log line. Queries run
-// under the database's default band (Options.Band).
-func (db *DB) SearchBatch(queries [][]float64, epsilon float64, parallelism int) ([]*Result, error) {
-	return db.SearchBatchBand(queries, epsilon, db.opts.Band, parallelism)
-}
-
-// SearchBatchBand is SearchBatch under an explicit Sakoe–Chiba band
-// half-width for this call (0 = unconstrained), overriding Options.Band.
-func (db *DB) SearchBatchBand(queries [][]float64, epsilon float64, band, parallelism int) ([]*Result, error) {
-	return db.SearchBatchCtx(nil, queries, epsilon, band, parallelism)
-}
-
-// SearchBatchCtx is SearchBatchBand governed by a context: once ctx is done
-// the dispatcher stops feeding queries, in-flight queries abandon at their
-// next candidate boundary, and the whole batch fails with the context's
-// error. Options.QueryDeadline, when set, bounds the whole batch (the
-// deadline is attached once, not per query). The per-query result cache is
-// not consulted on the batch path — batch throughput is dominated by cold
-// queries, and the per-query stamping would serialize on the cache stripes.
+// SearchBatchCtx runs many range queries concurrently (the DB is safe for
+// concurrent readers) under the band half-width band and returns one
+// Result per query, in input order. parallelism <= 0 selects GOMAXPROCS.
+// Every query is validated upfront (ErrInvalidQuery); the first execution
+// error aborts the batch. Once ctx is done the dispatcher stops feeding
+// queries, in-flight queries abandon at their next candidate boundary, and
+// the whole batch fails with the context's error. Options.QueryDeadline,
+// when set, bounds the whole batch. Each Result gets its own RequestID and
+// slow-query line; the result cache is not consulted.
 func (db *DB) SearchBatchCtx(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*Result, error) {
-	if epsilon < 0 {
-		return nil, fmt.Errorf("twsim: negative tolerance %g", epsilon)
-	}
-	if err := validateBand(band); err != nil {
-		return nil, err
-	}
-	for i, q := range queries {
-		if err := seq.CheckFinite(q); err != nil {
-			return nil, fmt.Errorf("twsim: query %d: %w", i, err)
-		}
-	}
+	return db.runBatch(ctx, db, queries, epsilon, band, parallelism)
+}
+
+// executeBatch is the batch worker pool behind SearchBatchCtx
+// (queryEngine); the queries are already validated.
+func (db *DB) executeBatch(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*Result, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > len(queries) {
-		parallelism = len(queries)
-	}
 	out := make([]*Result, len(queries))
-	if len(queries) == 0 {
-		return out, nil
-	}
-	ctx, cancel := db.opts.applyDeadline(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	work := make(chan int)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One worker per query already fills the machine; nesting
-			// intra-query refine workers under that would oversubscribe.
-			m := db.searcher(ctx, 1, band)
-			for i := range work {
-				if failed() {
-					continue // drain: the batch is already doomed
-				}
-				res, err := m.Search(seq.Sequence(queries[i]), epsilon)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("twsim: query %d: %w", i, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				out[i] = res
-			}
-		}()
-	}
-	// Stop dispatching as soon as any worker records an error, so a bad
-	// batch aborts promptly instead of running every remaining query.
-	for i := range queries {
-		if failed() {
-			break
+	// One worker per query already fills the machine; nesting intra-query
+	// refine workers under that would oversubscribe, so each query runs
+	// serially.
+	err := workpool.Run(len(queries), parallelism, func(i int) error {
+		res, err := db.searchWorkers(ctx, queries[i], epsilon, band, 1)
+		if err != nil {
+			return fmt.Errorf("twsim: query %d: %w", i, err)
 		}
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	for i, res := range out {
-		res.RequestID = nextRequestID()
-		db.opts.logSlowQuery("batch", res.RequestID, len(queries[i]), fmt.Sprintf("epsilon=%g band=%d", epsilon, band), res.Stats)
+		out[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

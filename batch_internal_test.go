@@ -1,14 +1,17 @@
 package twsim
 
 import (
+	"context"
 	"testing"
 )
 
 // TestSearchBatchFastFail: once a query errors, the dispatcher must stop
 // feeding the remaining queries to the workers. With parallelism 1 and the
-// first query invalid, not a single valid query may execute — observable as
+// first query failing, not a single valid query may execute — observable as
 // zero index reads, since every executed range query touches the index
-// buffer pool while the invalid query fails before reaching it.
+// buffer pool while the failing query errors before reaching it. The batch
+// executor is driven directly: SearchBatchCtx rejects the empty query during
+// upfront validation, before the dispatcher ever runs.
 func TestSearchBatchFastFail(t *testing.T) {
 	db, err := OpenMem(Options{})
 	if err != nil {
@@ -26,7 +29,7 @@ func TestSearchBatchFastFail(t *testing.T) {
 		queries[i] = []float64{1, 2, 3}
 	}
 	before := db.index.Stats().Reads
-	if _, err := db.SearchBatch(queries, 0.5, 1); err == nil {
+	if _, err := db.executeBatch(context.Background(), queries, 0.5, 0, 1); err == nil {
 		t.Fatal("batch with an invalid query succeeded")
 	}
 	if delta := db.index.Stats().Reads - before; delta != 0 {

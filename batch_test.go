@@ -18,7 +18,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 	}
 	queries := data[:20]
 	const eps = 0.3
-	batch, err := db.SearchBatch(queries, eps, 4)
+	batch, err := db.SearchBatchCtx(bg, queries, eps, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,20 +52,20 @@ func TestSearchBatchEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty batch.
-	out, err := db.SearchBatch(nil, 1, 0)
+	out, err := db.SearchBatchCtx(bg, nil, 1, 0, 0)
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty batch = %v, %v", out, err)
 	}
 	// Negative epsilon.
-	if _, err := db.SearchBatch([][]float64{{1}}, -1, 0); err == nil {
+	if _, err := db.SearchBatchCtx(bg, [][]float64{{1}}, -1, 0, 0); err == nil {
 		t.Error("negative epsilon accepted")
 	}
 	// A bad query aborts with a useful error.
-	if _, err := db.SearchBatch([][]float64{{1, 2}, nil}, 1, 2); err == nil {
+	if _, err := db.SearchBatchCtx(bg, [][]float64{{1, 2}, nil}, 1, 0, 2); err == nil {
 		t.Error("empty query in batch accepted")
 	}
 	// parallelism larger than batch is fine.
-	out, err = db.SearchBatch([][]float64{{1, 2, 3}}, 0.5, 64)
+	out, err = db.SearchBatchCtx(bg, [][]float64{{1, 2, 3}}, 0.5, 0, 64)
 	if err != nil || len(out) != 1 {
 		t.Fatalf("oversized parallelism: %v, %v", out, err)
 	}

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -240,12 +241,12 @@ func runConfig(cascade bool, procs, band int, data, queries [][]float64, eps flo
 	}
 
 	// Warm the buffer pools (and the kernel row pools) with one untimed pass.
-	if _, err := db.SearchBatchBand(queries, eps, band, 0); err != nil {
+	if _, err := db.SearchBatchCtx(context.Background(), queries, eps, band, 0); err != nil {
 		return config{}, nil, err
 	}
 
 	start := time.Now()
-	results, err := db.SearchBatchBand(queries, eps, band, 0)
+	results, err := db.SearchBatchCtx(context.Background(), queries, eps, band, 0)
 	wall := time.Since(start)
 	if err != nil {
 		return config{}, nil, err

@@ -35,6 +35,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -219,7 +220,9 @@ func procsList() []int {
 }
 
 func openDB(engine string, disableOrdering bool, values [][]float64) *twsim.DB {
-	db, err := twsim.OpenMem(twsim.Options{IndexEngine: engine, DisableEnvOrdering: disableOrdering})
+	// One refine worker: the legs measure the serial walk, so DTW-call
+	// counts and qps are not blurred by intra-query parallelism.
+	db, err := twsim.OpenMem(twsim.Options{IndexEngine: engine, DisableEnvOrdering: disableOrdering, RefineWorkers: 1})
 	if err != nil {
 		log.Fatalf("benchknn: open engine=%s: %v", engine, err)
 	}
@@ -232,11 +235,11 @@ func openDB(engine string, disableOrdering bool, values [][]float64) *twsim.DB {
 func runMatches(db *twsim.DB, queries [][]float64, k, band int) [][]twsim.Match {
 	out := make([][]twsim.Match, len(queries))
 	for i, q := range queries {
-		ms, _, err := db.NearestKStatsBandWorkers(q, k, band, nil, 1)
+		res, err := db.NearestKCtx(context.Background(), q, k, band)
 		if err != nil {
 			log.Fatalf("benchknn: oracle k=%d band=%d: %v", k, band, err)
 		}
-		out[i] = ms
+		out[i] = res.Matches
 	}
 	return out
 }
@@ -247,7 +250,7 @@ func runLeg(db *twsim.DB, engine string, ordering bool, queries [][]float64, k, 
 
 	// Warm pass fills pools and caches; the timed pass is the steady state.
 	for _, q := range queries {
-		if _, _, err := db.NearestKStatsBandWorkers(q, k, band, nil, 1); err != nil {
+		if _, err := db.NearestKCtx(context.Background(), q, k, band); err != nil {
 			return row{}, nil, err
 		}
 	}
@@ -255,11 +258,11 @@ func runLeg(db *twsim.DB, engine string, ordering bool, queries [][]float64, k, 
 	stats := make([]twsim.QueryStats, len(queries))
 	start := time.Now()
 	for i, q := range queries {
-		ms, st, err := db.NearestKStatsBandWorkers(q, k, band, nil, 1)
+		res, err := db.NearestKCtx(context.Background(), q, k, band)
 		if err != nil {
 			return row{}, nil, err
 		}
-		matches[i], stats[i] = ms, st
+		matches[i], stats[i] = res.Matches, res.Stats
 	}
 	wall := time.Since(start)
 

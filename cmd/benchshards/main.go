@@ -9,7 +9,7 @@
 //	go run ./cmd/benchshards -seqs 8000 -len 256 -queries 128
 //
 // Each configuration builds an in-memory database with the same data and
-// queries (fixed seed), then times one warmed SearchBatch. Reported per
+// queries (fixed seed), then times one warmed SearchBatchCtx. Reported per
 // configuration: queries/sec, per-query p50/p99 latency, exact-DTW call
 // count, and candidate ratio. Shard counts default to {1, 4, NumCPU},
 // deduplicated, and every count runs twice — once at GOMAXPROCS=1 and once
@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -169,12 +170,12 @@ func runConfig(shards, procs int, data, queries [][]float64, eps float64) (confi
 	}
 
 	// Warm the buffer pools with one untimed pass.
-	if _, err := db.SearchBatch(queries, eps, 0); err != nil {
+	if _, err := db.SearchBatchCtx(context.Background(), queries, eps, db.DefaultBand(), 0); err != nil {
 		return config{}, err
 	}
 
 	start := time.Now()
-	results, err := db.SearchBatch(queries, eps, 0)
+	results, err := db.SearchBatchCtx(context.Background(), queries, eps, db.DefaultBand(), 0)
 	wall := time.Since(start)
 	if err != nil {
 		return config{}, err

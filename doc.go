@@ -29,6 +29,17 @@
 // BandDistance, warping paths), and the paper's evaluated baselines for
 // benchmarking (see the Baseline* constructors).
 //
+// # Query API
+//
+// DB and ShardedDB answer queries through the same five methods. SearchCtx
+// (range) and NearestKCtx (k-NN) take a context and a Sakoe–Chiba band
+// half-width and return the full Result; SearchBatchCtx runs many range
+// queries concurrently; Search and NearestK are the default-band forms.
+// Every query passes one shared path — input validation (rejections wrap
+// ErrInvalidQuery), the whole-query result cache, Options.QueryDeadline,
+// the request ID, and the slow-query log — and the Backend interface
+// carries just SearchCtx and NearestKCtx.
+//
 // # Query pipeline
 //
 // Candidate refinement runs through a tiered cascade of true lower bounds,

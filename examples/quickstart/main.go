@@ -5,6 +5,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -64,5 +66,19 @@ func main() {
 	fmt.Println("\n3 nearest sequences under time warping:")
 	for i, m := range nn {
 		fmt.Printf("  %d. id %d  dist %.3f\n", i+1, m.ID, m.Dist)
+	}
+
+	// The Ctx forms take a context (cancellation, deadlines) and a per-query
+	// Sakoe–Chiba band, and return the query's work counters: here the same
+	// range query with warping limited to one step off the diagonal.
+	banded, err := db.SearchCtx(context.Background(), query, 1.0, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nband 1, tolerance 1.0 -> %d matches (%d exact DTW evaluations)\n",
+		len(banded.Matches), banded.Stats.DTWCalls)
+	// Invalid inputs are rejected up front with ErrInvalidQuery.
+	if _, err := db.SearchCtx(context.Background(), query, -1, 0); errors.Is(err, twsim.ErrInvalidQuery) {
+		fmt.Println("negative tolerance rejected:", err)
 	}
 }

@@ -16,9 +16,9 @@ import (
 // options, so every query can be checked for bit-identity between engines.
 // The flat engine gets a small merge threshold so background merges fire
 // during the tests rather than only at Close.
-func openPair(t *testing.T, base twsim.Base, workers, band int, sharded bool) (guttman, flat twsim.Backend) {
+func openPair(t *testing.T, base twsim.Base, workers, band int, sharded bool) (guttman, flat queryDB) {
 	t.Helper()
-	mk := func(engine string) twsim.Backend {
+	mk := func(engine string) queryDB {
 		opts := twsim.Options{
 			Base:               base,
 			RefineWorkers:      workers,
@@ -26,7 +26,7 @@ func openPair(t *testing.T, base twsim.Base, workers, band int, sharded bool) (g
 			IndexEngine:        engine,
 			FlatMergeThreshold: 32,
 		}
-		var b twsim.Backend
+		var b queryDB
 		var err error
 		if sharded {
 			b, err = twsim.OpenMemSharded(twsim.ShardedOptions{Options: opts, Shards: 3})
@@ -53,13 +53,13 @@ func matchesEqual(a, b []twsim.Match) bool {
 	return true
 }
 
-// checkIdentical runs Search, NearestK, and SearchBatch on both backends
+// checkIdentical runs Search, NearestK, and SearchBatchCtx on both backends
 // and demands bit-identical matches (same IDs, same float64 distances, same
 // order). The engines walk different structures but answer from the same
 // closed query rect and the same refinement cascade, so the match sets —
 // unique by (Dist, ID) with overwhelming probability on random walks — must
 // agree exactly.
-func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, data [][]float64) {
+func checkIdentical(t *testing.T, guttman, flat queryDB, rng *rand.Rand, data [][]float64) {
 	t.Helper()
 	for trial := 0; trial < 6; trial++ {
 		q := append([]float64(nil), data[rng.Intn(len(data))]...)
@@ -111,23 +111,23 @@ func checkIdentical(t *testing.T, guttman, flat twsim.Backend, rng *rand.Rand, d
 		batch[i] = data[rng.Intn(len(data))]
 	}
 	eps := 0.4
-	grs, err := guttman.SearchBatch(batch, eps, 2)
+	grs, err := guttman.SearchBatchCtx(bg, batch, eps, guttman.DefaultBand(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frs, err := flat.SearchBatch(batch, eps, 2)
+	frs, err := flat.SearchBatchCtx(bg, batch, eps, flat.DefaultBand(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range grs {
 		if !matchesEqual(grs[i].Matches, frs[i].Matches) {
-			t.Fatalf("SearchBatch query %d diverged", i)
+			t.Fatalf("SearchBatchCtx query %d diverged", i)
 		}
 	}
 }
 
 // TestFlatEngineOracle: the flat engine must be bit-identical to the
-// Guttman R-tree for Search, NearestK, and SearchBatch — across all three
+// Guttman R-tree for Search, NearestK, and SearchBatchCtx — across all three
 // bases, both backends (DB and ShardedDB), serial and parallel refinement,
 // and unbanded plus banded queries — through a lifecycle of bulk load,
 // interleaved inserts and removes (crossing the merge threshold so queries
@@ -148,7 +148,7 @@ func TestFlatEngineOracle(t *testing.T) {
 						defer flat.Close()
 
 						// Phase 1: bulk load (flat: STR-packed snapshot).
-						for _, b := range []twsim.Backend{guttman, flat} {
+						for _, b := range []queryDB{guttman, flat} {
 							if _, err := b.AddBatch(data); err != nil {
 								t.Fatal(err)
 							}

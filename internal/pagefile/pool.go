@@ -40,7 +40,9 @@ func (s Stats) HitRatio() float64 {
 
 // Page is a pinned buffer frame. The caller must Unpin it when done; dirty
 // pages must be marked via MarkDirty before Unpin or the mutation may be
-// lost on eviction.
+// lost on eviction. The pool does not latch page contents: callers
+// serialize a page's writer against its readers, and FlushAll against
+// writers (the engines' writer locks do both).
 type Page struct {
 	id    PageID
 	frame *frame
@@ -213,7 +215,7 @@ func (p *Pool) Alloc() (*Page, error) {
 	st := p.stripeOf(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	f, err := p.installLocked(st, id)
+	f, err := p.installLocked(st, id, false)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +228,10 @@ func (p *Pool) Alloc() (*Page, error) {
 
 // Fetch pins page id, reading it from the backend on a miss. Fetches of
 // pages in different stripes proceed fully in parallel; a miss blocks only
-// its own stripe while the backend read is in flight.
+// its own stripe while the backend read is in flight. A fetch never fails
+// for want of a frame: when every frame of the stripe is pinned (many
+// concurrent readers landing on one stripe), it gets a frame outside the
+// budget, which is dropped again on its last unpin.
 func (p *Pool) Fetch(id PageID) (*Page, error) {
 	st := p.stripeOf(id)
 	st.mu.Lock()
@@ -244,7 +249,7 @@ func (p *Pool) Fetch(id PageID) (*Page, error) {
 	if prev := PageID(p.lastMiss.Swap(uint32(id))); prev != InvalidPage && id == prev+1 {
 		p.seqMisses.Add(1)
 	}
-	f, err := p.installLocked(st, id)
+	f, err := p.installLocked(st, id, true)
 	if err != nil {
 		return nil, err
 	}
@@ -261,10 +266,15 @@ func (p *Pool) Fetch(id PageID) (*Page, error) {
 
 // installLocked obtains a frame for id within stripe st (evicting the
 // stripe's LRU victim if the stripe is at its budget) and registers it
-// pinned once. Caller holds st.mu.
-func (p *Pool) installLocked(st *stripe, id PageID) (*frame, error) {
+// pinned once. When every frame is pinned, overBudget decides: a fetch
+// gets a fresh frame beyond the budget (concurrent readers share the pool,
+// so a burst of pins on one stripe is load, not a fault), while an
+// allocation keeps the hard budget — allocations come from the serialized
+// write path, where a stripe full of pins means the operation's own
+// working set has outgrown the pool. Caller holds st.mu.
+func (p *Pool) installLocked(st *stripe, id PageID, overBudget bool) (*frame, error) {
 	var buf []byte
-	if len(st.frames) >= st.capacity {
+	if len(st.frames) >= st.capacity && (st.lru.Len() > 0 || !overBudget) {
 		victim := st.lru.Back()
 		if victim == nil {
 			return nil, fmt.Errorf("pagefile: buffer pool stripe exhausted (%d of %d pages, all pinned)",
@@ -295,6 +305,28 @@ func (p *Pool) unpin(f *frame) {
 	f.pins--
 	if f.pins == 0 {
 		f.elem = st.lru.PushFront(f)
+		p.trimLocked(st)
+	}
+}
+
+// trimLocked evicts unpinned frames, least recently used first, while the
+// stripe holds more than its budget — which only over-budget fetches cause
+// — so a stripe with no pins holds at most its budget. A frame whose
+// write-back fails stays cached (dirty) for a later eviction to retry.
+// Caller holds st.mu.
+func (p *Pool) trimLocked(st *stripe) {
+	for len(st.frames) > st.capacity {
+		victim := st.lru.Back()
+		if victim == nil {
+			return
+		}
+		vf := victim.Value.(*frame)
+		if p.flushLocked(vf) != nil {
+			return
+		}
+		st.lru.Remove(victim)
+		vf.elem = nil
+		delete(st.frames, vf.id)
 	}
 }
 

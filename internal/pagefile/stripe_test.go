@@ -41,7 +41,10 @@ func TestStripeCountScalesWithCapacity(t *testing.T) {
 // TestPoolStripedStorm hammers a multi-stripe pool from many goroutines —
 // reads, writes, flushes, and stats snapshots racing evictions of a working
 // set three times the pool capacity — and then verifies no page lost its
-// stamp. Run under -race this is the striping correctness gate.
+// stamp. Run under -race this is the striping correctness gate. The pool
+// does not latch page contents, so the storm follows the discipline the
+// engines' writer locks provide: a page's writer excludes its readers, and
+// FlushAll excludes writers.
 func TestPoolStripedStorm(t *testing.T) {
 	const (
 		pageSize   = 128
@@ -66,7 +69,11 @@ func TestPoolStripedStorm(t *testing.T) {
 		pg.Unpin()
 	}
 
-	var wg sync.WaitGroup
+	var (
+		wg      sync.WaitGroup
+		flushMu sync.RWMutex                  // FlushAll excludes payload writers
+		pageMu  = make([]sync.RWMutex, pages) // a page's writer excludes its readers
+	)
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -74,13 +81,16 @@ func TestPoolStripedStorm(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < iters; i++ {
-				id := ids[rng.Intn(pages)]
+				idx := rng.Intn(pages)
+				id := ids[idx]
 				pg, err := pool.Fetch(id)
 				if err != nil {
 					errs <- err
 					return
 				}
+				pageMu[idx].RLock()
 				got := PageID(binary.LittleEndian.Uint64(pg.Payload()))
+				pageMu[idx].RUnlock()
 				if got != id {
 					pg.Unpin()
 					errs <- fmt.Errorf("page %d stamped %d", id, got)
@@ -88,15 +98,22 @@ func TestPoolStripedStorm(t *testing.T) {
 				}
 				if rng.Intn(3) == 0 {
 					// Rewrite the stamp so dirty write-back races evictions.
+					flushMu.RLock()
+					pageMu[idx].Lock()
 					binary.LittleEndian.PutUint64(pg.Payload(), uint64(id))
 					pg.MarkDirty()
+					pageMu[idx].Unlock()
+					flushMu.RUnlock()
 				}
 				pg.Unpin()
 				switch rng.Intn(16) {
 				case 0:
 					_ = pool.Stats()
 				case 1:
-					if err := pool.FlushAll(); err != nil {
+					flushMu.Lock()
+					err := pool.FlushAll()
+					flushMu.Unlock()
+					if err != nil {
 						errs <- err
 						return
 					}
@@ -260,4 +277,67 @@ func BenchmarkStatsUnderFetchLoad(b *testing.B) {
 	b.StopTimer()
 	close(stop)
 	wg.Wait()
+}
+
+// TestPoolFetchBeyondStripeBudget: concurrent readers may pin more pages of
+// one stripe than the stripe has frames. The fetch past the budget must
+// succeed (it gets a frame outside the budget), and once the pins are
+// released the stripe shrinks back to its budget, writing a dirty
+// over-budget page back rather than losing it.
+func TestPoolFetchBeyondStripeBudget(t *testing.T) {
+	pool := newMemPool(t, 128, 64) // the default pool: 8 stripes of 8 frames
+	n := pool.NumStripes()
+	budget := pool.stripes[0].capacity
+	for i := 0; i < 2*n*(budget+1); i++ {
+		pg, err := pool.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(pg.Payload(), uint64(pg.ID()))
+		pg.MarkDirty()
+		pg.Unpin()
+	}
+	// budget+1 pages that all hash to stripe 0.
+	var pinned []*Page
+	for i := 0; i <= budget; i++ {
+		id := PageID(i * n)
+		pg, err := pool.Fetch(id)
+		if err != nil {
+			t.Fatalf("fetch %d of %d pages pinned on one stripe: %v", i+1, budget+1, err)
+		}
+		if got := binary.LittleEndian.Uint64(pg.Payload()); got != uint64(id) {
+			t.Fatalf("page %d reads stamp %d", id, got)
+		}
+		pinned = append(pinned, pg)
+	}
+	over := pinned[budget]
+	binary.LittleEndian.PutUint64(over.Payload(), 1<<40)
+	over.MarkDirty()
+	for _, pg := range pinned {
+		pg.Unpin()
+	}
+	st := &pool.stripes[0]
+	st.mu.Lock()
+	held := len(st.frames)
+	st.mu.Unlock()
+	if held > budget {
+		t.Fatalf("stripe holds %d frames after every pin was released, budget %d", held, budget)
+	}
+	// Churn the stripe with budget+1 other pages so every frame cached there
+	// is evicted, then check the over-budget page's write survived.
+	for i := 0; i <= budget; i++ {
+		pg, err := pool.Fetch(PageID((budget + 1 + i) * n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Unpin()
+	}
+	pg, err := pool.Fetch(over.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg.Unpin()
+	if got := binary.LittleEndian.Uint64(pg.Payload()); got != 1<<40 {
+		t.Fatalf("write to the over-budget page lost: stamp %d", got)
+	}
 }

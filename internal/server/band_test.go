@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -59,11 +61,11 @@ func TestSearchBandRequestField(t *testing.T) {
 	}
 
 	q, eps, band := data[5], 0.6, 3
-	want, err := oracle.SearchBand(q, eps, band)
+	want, err := oracle.SearchCtx(context.Background(), q, eps, band)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.SearchBand(q, eps, band)
+	got, err := c.SearchCtx(context.Background(), q, eps, band)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestSearchBandRequestField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := c.SearchBand(q, eps, 0)
+	zero, err := c.SearchCtx(context.Background(), q, eps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +93,15 @@ func TestSearchBandRequestField(t *testing.T) {
 	}
 
 	// Banded k-NN through the API agrees with the engine.
-	wantK, err := oracle.NearestKBand(q, 5, band)
+	wantRes, err := oracle.NearestKCtx(context.Background(), q, 5, band)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotK, err := c.NearestKBand(q, 5, band)
+	gotRes, err := c.NearestKCtx(context.Background(), q, 5, band)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantK, gotK := wantRes.Matches, gotRes.Matches
 	if len(gotK) != len(wantK) {
 		t.Fatalf("banded /knn: %d matches, engine %d", len(gotK), len(wantK))
 	}
@@ -127,7 +130,7 @@ func TestServerDefaultBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, eps := data[9], 0.6
-	want, err := oracle.SearchBand(q, eps, band)
+	want, err := oracle.SearchCtx(context.Background(), q, eps, band)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,18 +153,23 @@ func TestServerDefaultBand(t *testing.T) {
 // /knn is a client error — 400 with a named reason, never a query under an
 // undefined distance.
 func TestNegativeBandRejected400(t *testing.T) {
-	c := newBandServer(t, twsim.Options{})
-	if _, err := c.Add([]float64{1, 2, 3, 4}); err != nil {
+	db, err := twsim.OpenMem(twsim.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SearchBand([]float64{1, 2, 3}, 0.5, -1); err == nil {
-		t.Error("negative band on /search succeeded, want 400")
-	} else if !strings.Contains(err.Error(), "negative band") || !strings.Contains(err.Error(), "400") {
-		t.Errorf("negative band on /search: error %q, want a 400 naming the band", err)
+	defer db.Close()
+	if _, err := db.Add([]float64{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.NearestKBand([]float64{1, 2, 3}, 2, -5); err == nil {
-		t.Error("negative band on /knn succeeded, want 400")
-	} else if !strings.Contains(err.Error(), "negative band") || !strings.Contains(err.Error(), "400") {
-		t.Errorf("negative band on /knn: error %q, want a 400 naming the band", err)
+	ts := httptest.NewServer(New(db))
+	defer ts.Close()
+	for _, tc := range []struct{ path, body string }{
+		{"/search", `{"query":[1,2,3],"epsilon":0.5,"band":-1}`},
+		{"/knn", `{"query":[1,2,3],"k":2,"band":-5}`},
+	} {
+		status, msg := postStatus(t, ts, tc.path, tc.body)
+		if status != http.StatusBadRequest || !strings.Contains(msg, "negative band") {
+			t.Errorf("negative band on %s: %d %q, want a 400 naming the band", tc.path, status, msg)
+		}
 	}
 }

@@ -204,21 +204,11 @@ func (c *Client) Search(query []float64, epsilon float64) (*SearchResponse, erro
 	return &out, nil
 }
 
-// SearchBand is Search under an explicit Sakoe–Chiba band half-width
-// (0 = unconstrained, ≥ 1 = banded), overriding the server's default.
-func (c *Client) SearchBand(query []float64, epsilon float64, band int) (*SearchResponse, error) {
-	var out SearchResponse
-	err := c.do(http.MethodPost, "/search",
-		map[string]any{"query": query, "epsilon": epsilon, "band": band}, &out)
-	if err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// SearchCtx is SearchBand governed by a context: cancelling ctx closes the
+// SearchCtx is Search under an explicit Sakoe–Chiba band half-width
+// (0 = unconstrained, ≥ 1 = banded; band < 0 omits the field, meaning the
+// server's default), governed by a context: cancelling ctx closes the
 // connection, which the server observes and abandons the query server-side
-// too. band < 0 means the server's default (the band field is omitted).
+// too.
 func (c *Client) SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*SearchResponse, error) {
 	body := map[string]any{"query": query, "epsilon": epsilon}
 	if band >= 0 {
@@ -241,19 +231,9 @@ func (c *Client) NearestK(query []float64, k int) ([]MatchJSON, error) {
 	return out.Matches, err
 }
 
-// NearestKBand is NearestK under an explicit Sakoe–Chiba band half-width
-// (0 = unconstrained, ≥ 1 = banded), overriding the server's default.
-func (c *Client) NearestKBand(query []float64, k, band int) ([]MatchJSON, error) {
-	var out struct {
-		Matches []MatchJSON `json:"matches"`
-	}
-	err := c.do(http.MethodPost, "/knn", map[string]any{"query": query, "k": k, "band": band}, &out)
-	return out.Matches, err
-}
-
-// NearestKCtx is NearestKBand governed by a context (see SearchCtx),
+// NearestKCtx is NearestK under an explicit band half-width (band < 0
+// means the server's default), governed by a context (see SearchCtx),
 // returning the full response with stats, request ID and cache-hit flag.
-// band < 0 means the server's default.
 func (c *Client) NearestKCtx(ctx context.Context, query []float64, k, band int) (*SearchResponse, error) {
 	body := map[string]any{"query": query, "k": k}
 	if band >= 0 {

@@ -27,11 +27,13 @@
 // The subsequence endpoints work on both engine shapes: a sharded backend
 // builds one window index per shard and merges fan-out results into the
 // global ID space. Every error returns JSON {"error": "..."} with an
-// appropriate status code; queries containing NaN or ±Inf are rejected
-// with 400 (twsim.ErrNonFinite). Queries abandoned because the client
-// disconnected answer 499 (nginx's convention); queries past
-// Options.QueryDeadline answer 503; queries shed at admission control
-// (NewBackendLimits) answer 429 with a Retry-After header.
+// appropriate status code: an invalid query — empty, containing NaN or
+// ±Inf, negative ε or band (twsim.ErrInvalidQuery) — answers 400, and a
+// query that fails inside the database (I/O, checksum, buffer pool)
+// answers 500. Queries abandoned because the client disconnected answer
+// 499 (nginx's convention); queries past Options.QueryDeadline answer 503;
+// queries shed at admission control (NewBackendLimits) answer 429 with a
+// Retry-After header.
 //
 // Observability: every endpoint is instrumented with request counters (by
 // status class) and latency histograms, exported together with the query
@@ -226,54 +228,6 @@ func (l *lockedDB) Get(id twsim.ID) ([]float64, error) {
 	return l.db.Get(id)
 }
 
-func (l *lockedDB) Search(query []float64, epsilon float64) (*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.Search(query, epsilon)
-}
-
-func (l *lockedDB) SearchBand(query []float64, epsilon float64, band int) (*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.SearchBand(query, epsilon, band)
-}
-
-func (l *lockedDB) NearestK(query []float64, k int) ([]twsim.Match, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.NearestK(query, k)
-}
-
-func (l *lockedDB) NearestKBand(query []float64, k, band int) ([]twsim.Match, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.NearestKBand(query, k, band)
-}
-
-func (l *lockedDB) NearestKStats(query []float64, k int) (*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.NearestKStats(query, k)
-}
-
-func (l *lockedDB) NearestKStatsBand(query []float64, k, band int) (*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.NearestKStatsBand(query, k, band)
-}
-
-func (l *lockedDB) SearchBatch(queries [][]float64, epsilon float64, parallelism int) ([]*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.SearchBatch(queries, epsilon, parallelism)
-}
-
-func (l *lockedDB) SearchBatchBand(queries [][]float64, epsilon float64, band, parallelism int) ([]*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.SearchBatchBand(queries, epsilon, band, parallelism)
-}
-
 func (l *lockedDB) SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*twsim.Result, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -284,12 +238,6 @@ func (l *lockedDB) NearestKCtx(ctx context.Context, query []float64, k, band int
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.db.NearestKCtx(ctx, query, k, band)
-}
-
-func (l *lockedDB) SearchBatchCtx(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*twsim.Result, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.SearchBatchCtx(ctx, queries, epsilon, band, parallelism)
 }
 
 func (l *lockedDB) DefaultBand() int {
@@ -509,12 +457,16 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 	}
 }
 
-// queryError maps a failed query to its status: 499 when the client
-// disconnected mid-query, 503 when the per-query deadline expired, 400 for
-// everything else (validation). The outcome counters feed /metrics and
+// queryError maps a failed query to its status: 400 when the query itself
+// was invalid (twsim.ErrInvalidQuery), 499 when the client disconnected
+// mid-query, 503 when the per-query deadline expired, and 500 for
+// everything else — I/O, checksum, and buffer pool failures are the
+// server's fault, not the client's. The outcome counters feed /metrics and
 // /stats.
 func (s *Server) queryError(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, twsim.ErrInvalidQuery):
+		writeError(w, http.StatusBadRequest, err)
 	case errors.Is(err, context.Canceled):
 		s.cancelled.Add(1)
 		writeError(w, StatusClientClosedRequest, err)
@@ -522,7 +474,7 @@ func (s *Server) queryError(w http.ResponseWriter, err error) {
 		s.deadlineExceeded.Add(1)
 		writeError(w, http.StatusServiceUnavailable, err)
 	default:
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, http.StatusInternalServerError, err)
 	}
 }
 
@@ -790,10 +742,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	band := s.backend.DefaultBand()
 	if req.Band != nil {
-		if *req.Band < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("negative band half-width %d", *req.Band))
-			return
-		}
 		band = *req.Band
 	}
 	release, ok := s.admit(w, r)
@@ -832,10 +780,6 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	}
 	band := s.backend.DefaultBand()
 	if req.Band != nil {
-		if *req.Band < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("negative band half-width %d", *req.Band))
-			return
-		}
 		band = *req.Band
 	}
 	release, ok := s.admit(w, r)

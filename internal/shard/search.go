@@ -5,35 +5,24 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/workpool"
 )
 
 // Search fans one whole-matching range query out across all shards (one
 // index range query plus exact-DTW verification per shard, run concurrently
-// on the engine's worker pool) and merges the partial results: matches are
+// on the engine's worker pool) under the Sakoe–Chiba band half-width band
+// (0 = unconstrained) and merges the partial results: matches are
 // concatenated with their IDs lifted to the global space and re-sorted by
 // (distance, ID); the statistics sum the per-shard work counters while the
 // wall time is the observed fan-out duration (≈ the slowest shard when the
-// pool runs all shards concurrently).
-func (e *Engine) Search(query []float64, epsilon float64) (*core.Result, error) {
-	return e.search(nil, query, epsilon, 0, true)
-}
-
-// SearchBand is Search under an explicit Sakoe–Chiba band half-width
-// (0 = unconstrained); every shard answers the same banded distance, so the
-// merged result equals the single-database banded answer.
-func (e *Engine) SearchBand(query []float64, epsilon float64, band int) (*core.Result, error) {
-	return e.search(nil, query, epsilon, band, true)
-}
-
-// SearchBandCtx is SearchBand governed by a context: a done context abandons
-// every shard's work at its next candidate boundary and the fan-out returns
-// the context's error. A completed search is bit-identical to SearchBand —
-// cancellation can only abandon work, never skip a qualifying candidate.
-func (e *Engine) SearchBandCtx(ctx context.Context, query []float64, epsilon float64, band int) (*core.Result, error) {
+// pool runs all shards concurrently). A done ctx abandons every shard's
+// work at its next candidate boundary and the fan-out returns the
+// context's error; a completed search is bit-identical to an uncancelled
+// one.
+func (e *Engine) Search(ctx context.Context, query []float64, epsilon float64, band int) (*core.Result, error) {
 	return e.search(ctx, query, epsilon, band, true)
 }
 
@@ -101,42 +90,24 @@ func (e *Engine) search(ctx context.Context, query []float64, epsilon float64, b
 	return out, nil
 }
 
-// NearestK fans the exact k-NN search out across shards. The shards share a
-// best-k bound (core.SharedBound): as soon as any shard has k exact
-// distances it publishes its k-th best, and every other shard prunes its
-// index walk against the minimum published so far, so laggard shards stop
-// early. The per-shard survivor lists are merged, re-sorted, and truncated
-// to k — identical to the single-database result (modulo ID assignment).
-func (e *Engine) NearestK(query []float64, k int) ([]core.Match, error) {
-	ms, _, err := e.NearestKStats(query, k)
-	return ms, err
-}
-
-// NearestKStats is NearestKStatsBand with the unconstrained distance.
-func (e *Engine) NearestKStats(query []float64, k int) ([]core.Match, core.QueryStats, error) {
-	return e.NearestKStatsBand(query, k, 0)
-}
-
-// NearestKStatsBand is NearestK under an explicit Sakoe–Chiba band
-// half-width (0 = unconstrained), reporting the summed per-shard query
-// work. The per-shard statistics also feed the engine's cumulative
-// counters, so k-NN traffic shows up in ShardStats alongside range searches
-// and the exported conservation law (Candidates = ΣPruned + DTWCalls)
-// covers both kinds of query. Wall is the observed fan-out duration;
-// RefineWall sums the shards' walk times (filtering and refinement
-// interleave in the k-NN walk, so there is no separate filter phase to
-// report).
-func (e *Engine) NearestKStatsBand(query []float64, k, band int) ([]core.Match, core.QueryStats, error) {
-	return e.NearestKStatsBandCtx(nil, query, k, band)
-}
-
-// NearestKStatsBandCtx is NearestKStatsBand governed by a context: a done
-// context abandons every shard's walk at its next candidate boundary and the
-// fan-out returns the context's error.
-func (e *Engine) NearestKStatsBandCtx(ctx context.Context, query []float64, k, band int) ([]core.Match, core.QueryStats, error) {
-	var stats core.QueryStats
+// NearestK fans the exact k-NN search out across shards under the band
+// half-width band (0 = unconstrained). The shards share a best-k bound
+// (core.SharedBound): as soon as any shard has k exact distances it
+// publishes its k-th best, and every other shard prunes its index walk
+// against the minimum published so far, so laggard shards stop early. The
+// per-shard survivor lists are merged, re-sorted, and truncated to k —
+// identical to the single-database result (modulo ID assignment). The
+// per-shard statistics are summed into the result and also feed the
+// engine's cumulative counters, so k-NN traffic shows up in ShardStats
+// alongside range searches and the conservation law (Candidates =
+// ΣPruned + DTWCalls) covers both kinds of query. Wall is the observed
+// fan-out duration; RefineWall sums the shards' walk times (filtering and
+// refinement interleave in the k-NN walk, so there is no separate filter
+// phase to report). A done ctx abandons every shard's walk.
+func (e *Engine) NearestK(ctx context.Context, query []float64, k, band int) (*core.Result, error) {
+	out := &core.Result{}
 	if k <= 0 {
-		return nil, stats, nil
+		return out, nil
 	}
 	start := time.Now()
 	bound := core.NewSharedBound()
@@ -158,100 +129,45 @@ func (e *Engine) NearestKStatsBandCtx(ctx context.Context, query []float64, k, b
 		return nil
 	})
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	var merged []core.Match
 	for si, ms := range perShard {
-		merged = append(merged, ms...)
-		stats.Add(perStats[si])
+		out.Matches = append(out.Matches, ms...)
+		out.Stats.Add(perStats[si])
 	}
-	sortMatches(merged)
-	if len(merged) > k {
-		merged = merged[:k]
+	sortMatches(out.Matches)
+	if len(out.Matches) > k {
+		out.Matches = out.Matches[:k]
 	}
-	stats.Results = len(merged)
-	stats.Wall = time.Since(start)
-	return merged, stats, nil
+	out.Stats.Results = len(out.Matches)
+	out.Stats.Wall = time.Since(start)
+	return out, nil
 }
 
-// SearchBatch runs many queries concurrently, one worker per query. Each
-// worker visits the shards of its query serially: with P workers spread
-// over N shards that keeps every buffer pool busy without nesting worker
-// pools, which is what maximizes batch throughput. parallelism <= 0 selects
-// GOMAXPROCS. The first error aborts the batch: the dispatcher stops
-// feeding queries and in-flight workers drain without executing.
-func (e *Engine) SearchBatch(queries [][]float64, epsilon float64, parallelism int) ([]*core.Result, error) {
-	return e.SearchBatchBand(queries, epsilon, 0, parallelism)
-}
-
-// SearchBatchBand is SearchBatch under an explicit Sakoe–Chiba band
-// half-width (0 = unconstrained).
-func (e *Engine) SearchBatchBand(queries [][]float64, epsilon float64, band, parallelism int) ([]*core.Result, error) {
-	return e.SearchBatchBandCtx(nil, queries, epsilon, band, parallelism)
-}
-
-// SearchBatchBandCtx is SearchBatchBand governed by a context: a done
-// context stops the dispatcher and abandons in-flight queries at their next
-// candidate boundary, returning the context's error for the whole batch.
-func (e *Engine) SearchBatchBandCtx(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*core.Result, error) {
-	if epsilon < 0 {
-		return nil, fmt.Errorf("shard: negative tolerance %g", epsilon)
-	}
+// SearchBatch runs many range queries concurrently under the band
+// half-width band, one worker per query. Each worker visits the shards of
+// its query serially: with P workers spread over N shards that keeps every
+// buffer pool busy without nesting worker pools, which is what maximizes
+// batch throughput. parallelism <= 0 selects GOMAXPROCS. The first error
+// aborts the batch: the dispatcher stops feeding queries and in-flight
+// workers drain without executing. A done ctx stops the dispatcher and
+// abandons in-flight queries at their next candidate boundary, returning
+// the context's error for the whole batch.
+func (e *Engine) SearchBatch(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*core.Result, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > len(queries) {
-		parallelism = len(queries)
-	}
 	out := make([]*core.Result, len(queries))
-	if len(queries) == 0 {
-		return out, nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	err := workpool.Run(len(queries), parallelism, func(i int) error {
+		res, err := e.search(ctx, queries[i], epsilon, band, false)
+		if err != nil {
+			return fmt.Errorf("shard: query %d: %w", i, err)
 		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	work := make(chan int)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if failed() {
-					continue
-				}
-				res, err := e.search(ctx, queries[i], epsilon, band, false)
-				if err != nil {
-					setErr(fmt.Errorf("shard: query %d: %w", i, err))
-					continue
-				}
-				out[i] = res
-			}
-		}()
-	}
-	for i := range queries {
-		if failed() {
-			break
-		}
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		out[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

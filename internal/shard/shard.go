@@ -14,8 +14,8 @@
 // state.
 //
 // The package is deliberately ignorant of how a shard is built: it
-// orchestrates over the Store interface, which *twsim.DB satisfies (the
-// root package wires the two together; importing it from here would cycle).
+// orchestrates over the Store interface, which the root package implements
+// with a thin adapter over *twsim.DB (importing it from here would cycle).
 package shard
 
 import (
@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/seq"
+	"repro/internal/workpool"
 )
 
 // Store is one partition: the slice of the single-database engine the
@@ -39,9 +40,12 @@ type Store interface {
 	AddAll(values [][]float64) (seq.ID, error)
 	Remove(id seq.ID) (bool, error)
 	Get(id seq.ID) ([]float64, error)
-	// SearchBandWorkersCtx and NearestKStatsBandWorkersCtx take the context
-	// governing the query (nil never cancels; a done context abandons the
-	// shard's work at the next candidate boundary), the Sakoe–Chiba band
+	// SearchBandWorkersCtx and NearestKStatsBandWorkersCtx run a query on
+	// this shard alone — no validation, result cache, deadline, or
+	// slow-query logging; the sharded database's query path does those once
+	// for the whole fan-out. They take the context governing the query
+	// (nil never cancels; a done context abandons the shard's work at the
+	// next candidate boundary), the Sakoe–Chiba band
 	// half-width the query answers under (0 = unconstrained), and the
 	// number of intra-query refinement workers the shard may use for this
 	// call; the engine computes the latter from its refine budget so
@@ -366,61 +370,8 @@ func (e *Engine) FanOutRead(fn func(shard int) error) error {
 }
 
 // fanOut runs fn(shard) for every shard on a worker pool bounded by the
-// engine's parallelism, returning the first error. Remaining shards are
-// still visited after an error (their work is skipped only by fn itself
-// when it chooses to); fanOut guarantees fn was invoked for every shard
-// index unless the pool saw the error before dispatching it.
+// engine's parallelism, returning the first error; once a shard fails no
+// further shard is started.
 func (e *Engine) fanOut(fn func(shard int) error) error {
-	n := len(e.stores)
-	workers := e.parallelism
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for si := 0; si < n; si++ {
-			if err := fn(si); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for si := range work {
-				mu.Lock()
-				failed := firstErr != nil
-				mu.Unlock()
-				if failed {
-					continue
-				}
-				if err := fn(si); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for si := 0; si < n; si++ {
-		mu.Lock()
-		failed := firstErr != nil
-		mu.Unlock()
-		if failed {
-			break
-		}
-		work <- si
-	}
-	close(work)
-	wg.Wait()
-	return firstErr
+	return workpool.Run(len(e.stores), e.parallelism, fn)
 }

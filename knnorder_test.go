@@ -51,7 +51,7 @@ func TestNearestKOrderingOracle(t *testing.T) {
 						name := fmt.Sprintf("base=%v/sharded=%v/engine=%s/band=%d/workers=%d",
 							base, sharded, engine, band, workers)
 						t.Run(name, func(t *testing.T) {
-							open := func(disable bool) twsim.Backend {
+							open := func(disable bool) queryDB {
 								opts := twsim.Options{
 									Base:               base,
 									Band:               band,
@@ -60,7 +60,7 @@ func TestNearestKOrderingOracle(t *testing.T) {
 									FlatMergeThreshold: 32,
 									DisableEnvOrdering: disable,
 								}
-								var b twsim.Backend
+								var b queryDB
 								var err error
 								if sharded {
 									b, err = twsim.OpenMemSharded(twsim.ShardedOptions{Options: opts, Shards: 3})
@@ -81,14 +81,15 @@ func TestNearestKOrderingOracle(t *testing.T) {
 							defer off.Close()
 							for qi, q := range qs {
 								for _, k := range []int{1, 7} {
-									mOn, err := on.NearestKBand(q, k, band)
+									rOn, err := on.NearestKCtx(bg, q, k, band)
 									if err != nil {
 										t.Fatal(err)
 									}
-									mOff, err := off.NearestKBand(q, k, band)
+									rOff, err := off.NearestKCtx(bg, q, k, band)
 									if err != nil {
 										t.Fatal(err)
 									}
+									mOn, mOff := rOn.Matches, rOff.Matches
 									if !matchesEqual(mOn, mOff) {
 										t.Fatalf("query %d k=%d: ordering on/off diverged: on=%v off=%v",
 											qi, k, mOn, mOff)
@@ -135,7 +136,7 @@ func TestNearestKMmapOracle(t *testing.T) {
 		defer db.Close()
 		var a answers
 		for _, q := range qs {
-			ms, err := db.NearestKBand(q, 5, 8)
+			ms, err := db.NearestK(q, 5) // Options.Band is 8
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,9 +28,9 @@ var poisons = []struct {
 func TestNonFiniteRejected(t *testing.T) {
 	backends := []struct {
 		name string
-		open func(t *testing.T) twsim.Backend
+		open func(t *testing.T) queryDB
 	}{
-		{"single", func(t *testing.T) twsim.Backend {
+		{"single", func(t *testing.T) queryDB {
 			db, err := twsim.OpenMem(twsim.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -38,7 +38,7 @@ func TestNonFiniteRejected(t *testing.T) {
 			t.Cleanup(func() { db.Close() })
 			return db
 		}},
-		{"sharded", func(t *testing.T) twsim.Backend {
+		{"sharded", func(t *testing.T) queryDB {
 			db, err := twsim.OpenMemSharded(twsim.ShardedOptions{Shards: 3})
 			if err != nil {
 				t.Fatal(err)
@@ -77,10 +77,10 @@ func TestNonFiniteRejected(t *testing.T) {
 					check("Search", err)
 					_, err = db.NearestK(bad, 1)
 					check("NearestK", err)
-					_, err = db.NearestKStats(bad, 1)
-					check("NearestKStats", err)
-					_, err = db.SearchBatch([][]float64{{1, 2, 3}, bad}, 1, 2)
-					check("SearchBatch", err)
+					_, err = db.NearestKCtx(bg, bad, 1, 0)
+					check("NearestKCtx", err)
+					_, err = db.SearchBatchCtx(bg, [][]float64{{1, 2, 3}, bad}, 1, 0, 2)
+					check("SearchBatchCtx", err)
 				})
 			}
 		})

@@ -1,6 +1,7 @@
 package twsim
 
 import (
+	"fmt"
 	"log"
 	"sync/atomic"
 )
@@ -31,15 +32,19 @@ func (o Options) slowLogger() *log.Logger {
 //	  pruned_kim=800 pruned_paa=0 pruned_keogh=70 pruned_yi=20
 //	  pruned_improved=0 pruned_corridor=9
 //
-// kind is "search", "knn", or "batch"; param carries the query-kind
-// specific parameters ("epsilon=… band=…" or "k=… band=…"); request_id
+// kind is "search", "knn", or "batch"; the query-kind specific parameters
+// follow the query length ("epsilon=… band=…" or "k=… band=…"); request_id
 // matches the Result.RequestID returned to the caller.
-func (o Options) logSlowQuery(kind string, requestID uint64, queryLen int, param string, stats QueryStats) {
+func (o Options) logSlowQuery(kind string, requestID uint64, q querySpec, stats QueryStats) {
 	if o.SlowQueryThreshold <= 0 || stats.Wall < o.SlowQueryThreshold {
 		return
 	}
+	param := fmt.Sprintf("epsilon=%g band=%d", q.epsilon, q.band)
+	if q.kind == knnQuery {
+		param = fmt.Sprintf("k=%d band=%d", q.k, q.band)
+	}
 	o.slowLogger().Printf("twsim: slow query kind=%s request_id=%d qlen=%d %s wall=%s filter=%s refine=%s candidates=%d results=%d dtw=%d pruned_kim=%d pruned_paa=%d pruned_keogh=%d pruned_yi=%d pruned_improved=%d pruned_corridor=%d",
-		kind, requestID, queryLen, param, stats.Wall, stats.FilterWall, stats.RefineWall,
+		kind, requestID, len(q.values), param, stats.Wall, stats.FilterWall, stats.RefineWall,
 		stats.Candidates, stats.Results, stats.DTWCalls,
 		stats.LBKimPruned, stats.LBPAAPruned, stats.LBKeoghPruned, stats.LBYiPruned,
 		stats.LBImprovedPruned, stats.CorridorPruned)

@@ -45,7 +45,7 @@ func newFaultIndexDB(t *testing.T) (*DB, *pagefile.FaultBackend) {
 		store.Close()
 		t.Fatal(err)
 	}
-	db := &DB{store: store, index: index, opts: Options{PageSize: faultPageSize}}
+	db := &DB{queryPath: queryPath{opts: Options{PageSize: faultPageSize}}, store: store, index: index}
 	t.Cleanup(func() { db.Close() })
 	return db, fb
 }

@@ -30,7 +30,7 @@ func TestRefineWorkersPublicOracle(t *testing.T) {
 
 			type variant struct {
 				name    string
-				backend twsim.Backend
+				backend queryDB
 			}
 			var variants []variant
 			addSingle := func(vname string, opts twsim.Options) {

@@ -3,6 +3,7 @@ package twsim_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,33 +12,62 @@ import (
 	twsim "repro"
 )
 
-// cacheBackend abstracts the two engines for the coherence tests. mu
-// serializes writers against reader pairs: the single-DB engine needs it
-// by the library's concurrency rule, and the sharded engine (internally
-// safe) uses it so a cached read and its fresh recompute observe the same
-// contents.
+// cacheBackend pairs an engine running the result cache with an uncached
+// twin that receives the same writes in the same order, so both hold
+// identical contents under identical IDs. mu serializes writers against
+// reader pairs: the single-DB engine needs it by the library's concurrency
+// rule, and the sharded engine (internally safe) uses it so a cached read
+// and its twin's recompute observe the same contents.
 type cacheBackend struct {
-	mu sync.RWMutex
-	b  twsim.Backend
+	mu   sync.RWMutex
+	b    queryDB
+	twin queryDB
 }
 
+// openCacheBackends opens one cacheBackend per engine shape.
 func openCacheBackends(t *testing.T, cacheBytes int64) map[string]*cacheBackend {
 	t.Helper()
-	opts := twsim.Options{ResultCacheBytes: cacheBytes}
-	single, err := twsim.OpenMem(opts)
+	out := make(map[string]*cacheBackend, len(testEngines))
+	for _, eng := range testEngines {
+		out[eng.name] = &cacheBackend{
+			b:    eng.open(t, twsim.Options{ResultCacheBytes: cacheBytes}),
+			twin: eng.open(t, twsim.Options{}),
+		}
+	}
+	return out
+}
+
+// add and remove apply one write to both the cached engine and its twin.
+func (cb *cacheBackend) add(values []float64) (twsim.ID, error) {
+	id, err := cb.b.Add(values)
 	if err != nil {
-		t.Fatal(err)
+		return id, err
 	}
-	t.Cleanup(func() { single.Close() })
-	sharded, err := twsim.OpenMemSharded(twsim.ShardedOptions{Options: opts, Shards: 3})
+	if tid, err := cb.twin.Add(values); err != nil || tid != id {
+		return id, fmt.Errorf("twin add: id %d (want %d), %v", tid, id, err)
+	}
+	return id, nil
+}
+
+func (cb *cacheBackend) remove(id twsim.ID) (bool, error) {
+	ok, err := cb.b.Remove(id)
 	if err != nil {
-		t.Fatal(err)
+		return ok, err
 	}
-	t.Cleanup(func() { sharded.Close() })
-	return map[string]*cacheBackend{
-		"single":  {b: single},
-		"sharded": {b: sharded},
+	if tok, err := cb.twin.Remove(id); err != nil || tok != ok {
+		return ok, fmt.Errorf("twin remove %d: %v (want %v), %v", id, tok, ok, err)
 	}
+	return ok, nil
+}
+
+// cacheKinds are the two query kinds; both reach the result cache through
+// the same shared query path, and every coherence test runs over both.
+var cacheKinds = []struct {
+	name string
+	run  func(b queryDB, q []float64) (*twsim.Result, error)
+}{
+	{"range", func(b queryDB, q []float64) (*twsim.Result, error) { return b.SearchCtx(bg, q, 0.8, 0) }},
+	{"knn", func(b queryDB, q []float64) (*twsim.Result, error) { return b.NearestKCtx(bg, q, 3, 0) }},
 }
 
 // TestResultCacheHit: a repeated query answers from the cache — flagged,
@@ -102,84 +132,95 @@ func TestResultCacheHit(t *testing.T) {
 }
 
 // TestResultCacheWriteInvalidation: any write (add, remove) makes the next
-// identical query recompute rather than serve the stale entry.
+// identical query recompute rather than serve the stale entry — for range
+// and k-NN queries on both engines.
 func TestResultCacheWriteInvalidation(t *testing.T) {
-	for name, cb := range openCacheBackends(t, 1<<20) {
-		t.Run(name, func(t *testing.T) {
-			data := randomWalks(78, 30, 12, 24)
-			ids, err := cb.b.AddBatch(data)
-			if err != nil {
-				t.Fatal(err)
+	for _, eng := range testEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			for _, kind := range cacheKinds {
+				t.Run(kind.name, func(t *testing.T) {
+					b := eng.open(t, twsim.Options{ResultCacheBytes: 1 << 20})
+					data := randomWalks(78, 30, 12, 24)
+					if _, err := b.AddBatch(data); err != nil {
+						t.Fatal(err)
+					}
+					q := data[0]
+					before, err := kind.run(b, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if hot, err := kind.run(b, q); err != nil || !hot.CacheHit {
+						t.Fatalf("repeat query before any write: hit=%v, %v", hot != nil && hot.CacheHit, err)
+					}
+					// Insert an exact duplicate of the query: it must appear in the
+					// next result at distance 0.
+					dupID, err := b.Add(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					after, err := kind.run(b, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if after.CacheHit {
+						t.Fatal("query after a write served the stale cache entry")
+					}
+					found := false
+					for _, m := range after.Matches {
+						if m.ID == dupID && m.Dist == 0 {
+							found = true
+						}
+					}
+					if !found {
+						t.Fatal("inserted duplicate missing from post-write result")
+					}
+					if kind.name == "range" && len(after.Matches) != len(before.Matches)+1 {
+						t.Fatalf("post-write result has %d matches, want %d", len(after.Matches), len(before.Matches)+1)
+					}
+					// Warm the cache again, remove the duplicate, and re-query.
+					if _, err := kind.run(b, q); err != nil {
+						t.Fatal(err)
+					}
+					if ok, err := b.Remove(dupID); err != nil || !ok {
+						t.Fatalf("Remove = %v, %v", ok, err)
+					}
+					final, err := kind.run(b, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if final.CacheHit {
+						t.Fatal("query after a remove served the stale cache entry")
+					}
+					if !matchesEqual(final.Matches, before.Matches) {
+						t.Fatal("post-remove result differs from the original")
+					}
+					if st := b.ResultCacheStats(); st.Invalidations == 0 {
+						t.Fatalf("no invalidations recorded: %+v", st)
+					}
+				})
 			}
-			q := data[0]
-			before, err := cb.b.SearchCtx(nil, q, 0.8, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Insert an exact duplicate of the query: it must appear in the
-			// next result at distance 0.
-			dupID, err := cb.b.Add(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			after, err := cb.b.SearchCtx(nil, q, 0.8, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after.CacheHit {
-				t.Fatal("query after a write served the stale cache entry")
-			}
-			found := false
-			for _, m := range after.Matches {
-				if m.ID == dupID && m.Dist == 0 {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatal("inserted duplicate missing from post-write result")
-			}
-			if len(after.Matches) != len(before.Matches)+1 {
-				t.Fatalf("post-write result has %d matches, want %d", len(after.Matches), len(before.Matches)+1)
-			}
-			// Warm the cache again, remove the duplicate, and re-query.
-			if _, err := cb.b.SearchCtx(nil, q, 0.8, 0); err != nil {
-				t.Fatal(err)
-			}
-			if ok, err := cb.b.Remove(dupID); err != nil || !ok {
-				t.Fatalf("Remove = %v, %v", ok, err)
-			}
-			final, err := cb.b.SearchCtx(nil, q, 0.8, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if final.CacheHit {
-				t.Fatal("query after a remove served the stale cache entry")
-			}
-			if !matchesEqual(final.Matches, before.Matches) {
-				t.Fatal("post-remove result differs from the original")
-			}
-			if st := cb.b.ResultCacheStats(); st.Invalidations == 0 {
-				t.Fatalf("no invalidations recorded: %+v", st)
-			}
-			_ = ids
 		})
 	}
 }
 
 // TestResultCacheCoherenceStorm interleaves writers (adds and removes)
-// with readers issuing a small set of repeated queries on both engines.
-// Each reader pairs every cached read with a fresh recompute under the
-// same read lock (the batch path bypasses the cache), so any stale hit
-// surfaces as a mismatch. Run with -race this also proves the cache's
-// internal synchronization.
+// with readers issuing a small set of repeated range and k-NN queries on
+// both engines. Each reader pairs every cached read with a recompute on the
+// uncached twin under the same read lock, so any stale hit surfaces as a
+// mismatch. Run with -race this also proves the cache's internal
+// synchronization.
 func TestResultCacheCoherenceStorm(t *testing.T) {
 	for name, cb := range openCacheBackends(t, 1<<20) {
 		t.Run(name, func(t *testing.T) {
 			cb := cb
 			seed := randomWalks(79, 20, 10, 20)
-			ids, err := cb.b.AddBatch(seed)
-			if err != nil {
-				t.Fatal(err)
+			var ids []twsim.ID
+			for _, v := range seed {
+				id, err := cb.add(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
 			}
 			queries := seed[:4]
 			stop := make(chan struct{})
@@ -200,7 +241,7 @@ func TestResultCacheCoherenceStorm(t *testing.T) {
 					}
 					walk := randomWalks(int64(1000+i), 1, 10, 20)[0]
 					cb.mu.Lock()
-					id, err := cb.b.Add(walk)
+					id, err := cb.add(walk)
 					cb.mu.Unlock()
 					if err != nil {
 						errs <- err
@@ -238,7 +279,7 @@ func TestResultCacheCoherenceStorm(t *testing.T) {
 						continue
 					}
 					cb.mu.Lock()
-					_, err := cb.b.Remove(victim)
+					_, err := cb.remove(victim)
 					cb.mu.Unlock()
 					if err != nil {
 						errs <- err
@@ -260,24 +301,24 @@ func TestResultCacheCoherenceStorm(t *testing.T) {
 						default:
 						}
 						q := queries[rng.Intn(len(queries))]
+						kind := cacheKinds[rng.Intn(len(cacheKinds))]
 						cb.mu.RLock()
-						res, err := cb.b.SearchCtx(nil, q, 0.6, 0)
+						res, err := kind.run(cb.b, q)
 						if err != nil {
 							cb.mu.RUnlock()
 							errs <- err
 							return
 						}
-						// Fresh recompute under the same lock: the batch
-						// path never consults the cache, so any stale hit
-						// shows up as a mismatch here.
-						fresh, err := cb.b.SearchBatchBand([][]float64{q}, 0.6, 0, 1)
+						// Recompute on the uncached twin under the same lock:
+						// any stale hit shows up as a mismatch here.
+						fresh, err := kind.run(cb.twin, q)
 						cb.mu.RUnlock()
 						if err != nil {
 							errs <- err
 							return
 						}
-						if !matchesEqual(res.Matches, fresh[0].Matches) {
-							errs <- errors.New("cached result diverged from fresh recompute (stale hit)")
+						if !matchesEqual(res.Matches, fresh.Matches) {
+							errs <- fmt.Errorf("%s: cached result diverged from the uncached twin (stale hit)", kind.name)
 							return
 						}
 					}
@@ -328,17 +369,20 @@ func TestSearchCtxCancellation(t *testing.T) {
 			if _, err := cb.b.SearchBatchCtx(ctx, [][]float64{q}, 0.5, 0, 1); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled SearchBatchCtx error = %v, want context.Canceled", err)
 			}
-			// A live context is inert: results equal the non-ctx API's.
-			want, err := cb.b.SearchBand(q, 0.5, 0)
+			// A live cancellable context is inert: results equal the
+			// default-band form's, which never cancels.
+			live, stop := context.WithCancel(context.Background())
+			defer stop()
+			want, err := cb.b.Search(q, 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cb.b.SearchCtx(context.Background(), q, 0.5, 0)
+			got, err := cb.b.SearchCtx(live, q, 0.5, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !matchesEqual(want.Matches, got.Matches) {
-				t.Fatal("SearchCtx with a live context differs from SearchBand")
+				t.Fatal("SearchCtx with a live context differs from Search")
 			}
 		})
 	}

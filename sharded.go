@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fsx"
@@ -64,15 +63,13 @@ type QueryTotals = shard.QueryTotals
 // ShardID(id) = id mod N is a pure function of the ID, stable across
 // Close/Open. Unlike *DB, a ShardedDB is safe for fully concurrent use.
 type ShardedDB struct {
-	eng  *shard.Engine
-	dbs  []*DB // the shards, in shard-ID order (eng routes over the same slice)
-	base Base
-	dir  string  // empty when in-memory
-	opts Options // top-level options; also carries the slow-query config
-	// rcache is the engine-level whole-query result cache (nil when
-	// disabled); entries are stamped with the summed per-shard write
+	// queryPath carries the top-level options and the engine-level result
+	// cache, whose entries are stamped with the summed per-shard write
 	// generations (see Generation).
-	rcache *core.ResultCache
+	queryPath
+	eng *shard.Engine
+	dbs []*DB  // the shards, in shard-ID order (eng routes over the same slice)
+	dir string // empty when in-memory
 }
 
 const shardManifestName = "shards.json"
@@ -119,15 +116,28 @@ func writeShardManifest(dir string, m shardManifest) error {
 func newShardedDB(dbs []*DB, dir string, opts ShardedOptions) (*ShardedDB, error) {
 	stores := make([]shard.Store, len(dbs))
 	for i, db := range dbs {
-		stores[i] = db
+		stores[i] = shardStore{db}
 	}
 	eng, err := shard.New(stores, opts.Parallelism, opts.refineWorkers())
 	if err != nil {
 		closeAll(dbs)
 		return nil, err
 	}
-	return &ShardedDB{eng: eng, dbs: dbs, base: opts.Base, dir: dir, opts: opts.Options,
-		rcache: core.NewResultCache(opts.ResultCacheBytes)}, nil
+	return &ShardedDB{queryPath: newQueryPath(opts.Options, "sharded"), eng: eng, dbs: dbs, dir: dir}, nil
+}
+
+// shardStore adapts one shard's *DB to shard.Store. The engine reaches the
+// shard's unvalidated, uncached search directly: validation, the result
+// cache, the deadline, and the slow-query line happen once, on the
+// ShardedDB's query path, not once per shard.
+type shardStore struct{ *DB }
+
+func (s shardStore) SearchBandWorkersCtx(ctx context.Context, query []float64, epsilon float64, band, workers int) (*Result, error) {
+	return s.searchWorkers(ctx, query, epsilon, band, workers)
+}
+
+func (s shardStore) NearestKStatsBandWorkersCtx(ctx context.Context, query []float64, k, band int, bound *core.SharedBound, workers int) ([]Match, QueryStats, error) {
+	return s.nearestKWorkers(ctx, query, k, band, bound, workers)
 }
 
 func closeAll(dbs []*DB) {
@@ -307,181 +317,57 @@ func (s *ShardedDB) Remove(id ID) (bool, error) { return s.eng.Remove(id) }
 func (s *ShardedDB) Get(id ID) ([]float64, error) { return s.eng.Get(id) }
 
 // Search runs the paper's range similarity query fanned out across all
-// shards concurrently; results merge to exactly the single-database
-// answer. Stats sum the per-shard work; Wall is the fan-out duration. The
-// Result carries a process-unique RequestID; queries at or above
-// Options.SlowQueryThreshold are logged with it. The distance answered is
-// unconstrained when Options.Band is 0, banded otherwise.
+// shards concurrently under the default band (Options.Band); see SearchCtx.
 func (s *ShardedDB) Search(query []float64, epsilon float64) (*Result, error) {
-	return s.SearchBand(query, epsilon, s.opts.Band)
+	return s.SearchCtx(context.TODO(), query, epsilon, s.opts.Band)
 }
 
-// SearchBand is Search under an explicit Sakoe–Chiba band half-width for
-// this call, overriding Options.Band (0 = unconstrained). Every shard
-// answers the same banded distance, so the merged result equals the
-// single-database banded answer.
-func (s *ShardedDB) SearchBand(query []float64, epsilon float64, band int) (*Result, error) {
-	return s.SearchCtx(nil, query, epsilon, band)
-}
-
-// SearchCtx is SearchBand governed by a context: once ctx is done every
-// shard abandons its work at the next candidate boundary and the fan-out
-// returns the context's error; Options.QueryDeadline, when set, caps the
-// execution time on top. The engine-level result cache, when enabled, is
-// consulted first under the summed write generation (see Generation), so a
-// hit skips the entire fan-out.
+// SearchCtx is DB.SearchCtx fanned out across all shards concurrently;
+// every shard answers the same (banded) distance, so the merged result
+// equals the single-database answer. Stats sum the per-shard work; Wall is
+// the fan-out duration. Once ctx is done every shard abandons its work at
+// the next candidate boundary. The engine-level result cache is consulted
+// under the summed write generation (see Generation), so a hit skips the
+// entire fan-out.
 func (s *ShardedDB) SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*Result, error) {
-	if len(query) == 0 {
-		return nil, seq.ErrEmpty
-	}
-	if err := seq.CheckFinite(query); err != nil {
-		return nil, err
-	}
-	if epsilon < 0 {
-		return nil, fmt.Errorf("twsim: negative tolerance %g", epsilon)
-	}
-	if err := validateBand(band); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var key string
-	var preGen uint64
-	if s.rcache != nil {
-		key = core.ResultCacheKey('r', s.base, "sharded", band, epsilon, 0, query)
-		preGen = s.Generation() // before any shard read of this query
-		if ms, ok := s.rcache.Get(key, preGen); ok {
-			res := cachedResult(ms, start)
-			res.RequestID = nextRequestID()
-			s.opts.logSlowQuery("search", res.RequestID, len(query), fmt.Sprintf("epsilon=%g band=%d", epsilon, band), res.Stats)
-			return res, nil
-		}
-	}
-	ctx, cancel := s.opts.applyDeadline(ctx)
-	defer cancel()
-	res, err := s.eng.SearchBandCtx(ctx, query, epsilon, band)
-	if err != nil {
-		return nil, err
-	}
-	if s.rcache != nil {
-		s.rcache.Put(key, preGen, res.Matches)
-	}
-	res.RequestID = nextRequestID()
-	s.opts.logSlowQuery("search", res.RequestID, len(query), fmt.Sprintf("epsilon=%g band=%d", epsilon, band), res.Stats)
-	return res, nil
+	return s.run(ctx, s, querySpec{kind: rangeQuery, values: query, epsilon: epsilon, band: band})
 }
 
-// NearestK runs the exact k-NN search across all shards, sharing a best-k
-// bound so laggard shards prune early; the merged result equals the
-// single-database answer.
+// NearestK runs the exact k-NN search across all shards under the default
+// band; see NearestKCtx.
 func (s *ShardedDB) NearestK(query []float64, k int) ([]Match, error) {
-	res, err := s.NearestKStats(query, k)
+	res, err := s.NearestKCtx(context.TODO(), query, k, s.opts.Band)
 	if err != nil {
 		return nil, err
 	}
 	return res.Matches, nil
 }
 
-// NearestKBand is NearestK under an explicit Sakoe–Chiba band half-width
-// for this call, overriding Options.Band (0 = unconstrained).
-func (s *ShardedDB) NearestKBand(query []float64, k, band int) ([]Match, error) {
-	res, err := s.NearestKStatsBand(query, k, band)
-	if err != nil {
-		return nil, err
-	}
-	return res.Matches, nil
-}
-
-// NearestKStats is NearestK returning the full Result: matches plus the
-// summed per-shard work counters and the RequestID (see DB.NearestKStats).
-func (s *ShardedDB) NearestKStats(query []float64, k int) (*Result, error) {
-	return s.NearestKStatsBand(query, k, s.opts.Band)
-}
-
-// NearestKStatsBand is NearestKStats under an explicit band half-width for
-// this call, overriding Options.Band (0 = unconstrained).
-func (s *ShardedDB) NearestKStatsBand(query []float64, k, band int) (*Result, error) {
-	return s.NearestKCtx(nil, query, k, band)
-}
-
-// NearestKCtx is NearestKStatsBand governed by a context (see SearchCtx for
-// the cancellation and caching behavior).
+// NearestKCtx is DB.NearestKCtx across all shards: the shards share a
+// best-k bound so laggard shards prune early, and the merged result equals
+// the single-database answer. Cancellation and caching behave as in
+// SearchCtx.
 func (s *ShardedDB) NearestKCtx(ctx context.Context, query []float64, k, band int) (*Result, error) {
-	if len(query) == 0 {
-		return nil, seq.ErrEmpty
-	}
-	if err := seq.CheckFinite(query); err != nil {
-		return nil, err
-	}
-	if err := validateBand(band); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var key string
-	var preGen uint64
-	if s.rcache != nil {
-		key = core.ResultCacheKey('k', s.base, "sharded", band, 0, k, query)
-		preGen = s.Generation() // before any shard read of this query
-		if ms, ok := s.rcache.Get(key, preGen); ok {
-			res := cachedResult(ms, start)
-			res.RequestID = nextRequestID()
-			s.opts.logSlowQuery("knn", res.RequestID, len(query), fmt.Sprintf("k=%d band=%d", k, band), res.Stats)
-			return res, nil
-		}
-	}
-	ctx, cancel := s.opts.applyDeadline(ctx)
-	defer cancel()
-	ms, stats, err := s.eng.NearestKStatsBandCtx(ctx, query, k, band)
-	if err != nil {
-		return nil, err
-	}
-	if s.rcache != nil {
-		s.rcache.Put(key, preGen, ms)
-	}
-	res := &Result{Matches: ms, Stats: stats, RequestID: nextRequestID()}
-	s.opts.logSlowQuery("knn", res.RequestID, len(query), fmt.Sprintf("k=%d band=%d", k, band), res.Stats)
-	return res, nil
+	return s.run(ctx, s, querySpec{kind: knnQuery, values: query, k: k, band: band})
 }
 
-// SearchBatch runs many range queries concurrently (one worker per query,
-// each visiting shards serially — see the engine for why that maximizes
-// batch throughput). parallelism <= 0 selects GOMAXPROCS. The first error
-// aborts the batch promptly. Every query is validated for non-finite
-// elements upfront; each per-query Result gets its own RequestID and
-// slow-query log line.
-func (s *ShardedDB) SearchBatch(queries [][]float64, epsilon float64, parallelism int) ([]*Result, error) {
-	return s.SearchBatchBand(queries, epsilon, s.opts.Band, parallelism)
+// execute fans a validated query out across the shards (queryEngine).
+func (s *ShardedDB) execute(ctx context.Context, q querySpec) (*Result, error) {
+	if q.kind == knnQuery {
+		return s.eng.NearestK(ctx, q.values, q.k, q.band)
+	}
+	return s.eng.Search(ctx, q.values, q.epsilon, q.band)
 }
 
-// SearchBatchBand is SearchBatch under an explicit Sakoe–Chiba band
-// half-width for this call, overriding Options.Band (0 = unconstrained).
-func (s *ShardedDB) SearchBatchBand(queries [][]float64, epsilon float64, band, parallelism int) ([]*Result, error) {
-	return s.SearchBatchCtx(nil, queries, epsilon, band, parallelism)
-}
-
-// SearchBatchCtx is SearchBatchBand governed by a context: once ctx is done
-// the dispatcher stops feeding queries and in-flight fan-outs abandon,
-// failing the whole batch with the context's error. Options.QueryDeadline
-// bounds the whole batch (attached once, not per query).
+// SearchBatchCtx is DB.SearchBatchCtx on the sharded engine: one worker
+// per query, each visiting shards serially (see the engine for why that
+// maximizes batch throughput).
 func (s *ShardedDB) SearchBatchCtx(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*Result, error) {
-	for i, q := range queries {
-		if err := seq.CheckFinite(q); err != nil {
-			return nil, fmt.Errorf("twsim: query %d: %w", i, err)
-		}
-	}
-	if err := validateBand(band); err != nil {
-		return nil, err
-	}
-	ctx, cancel := s.opts.applyDeadline(ctx)
-	defer cancel()
-	out, err := s.eng.SearchBatchBandCtx(ctx, queries, epsilon, band, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range out {
-		res.RequestID = nextRequestID()
-		s.opts.logSlowQuery("batch", res.RequestID, len(queries[i]), fmt.Sprintf("epsilon=%g band=%d", epsilon, band), res.Stats)
-	}
-	return out, nil
+	return s.runBatch(ctx, s, queries, epsilon, band, parallelism)
+}
+
+func (s *ShardedDB) executeBatch(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*Result, error) {
+	return s.eng.SearchBatch(ctx, queries, epsilon, band, parallelism)
 }
 
 // Distance computes the exact time warping distance between a stored

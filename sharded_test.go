@@ -119,7 +119,7 @@ func TestShardedNearestKOracle(t *testing.T) {
 }
 
 // TestShardedBatchOracle: AddBatch distributes across shards and
-// SearchBatch merges per-query exactly like individual Search calls.
+// SearchBatchCtx merges per-query exactly like individual Search calls.
 func TestShardedBatchOracle(t *testing.T) {
 	data := randomWalks(99, 70, 10, 30)
 	sharded, err := twsim.OpenMemSharded(twsim.ShardedOptions{Shards: 4})
@@ -148,7 +148,7 @@ func TestShardedBatchOracle(t *testing.T) {
 	}
 	queries := data[:15]
 	const eps = 0.4
-	batch, err := sharded.SearchBatch(queries, eps, 3)
+	batch, err := sharded.SearchBatchCtx(bg, queries, eps, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

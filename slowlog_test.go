@@ -11,7 +11,7 @@ import (
 	twsim "repro"
 )
 
-// syncBuffer is a goroutine-safe bytes.Buffer; SearchBatch workers finish
+// syncBuffer is a goroutine-safe bytes.Buffer; SearchBatchCtx workers finish
 // before the batch logs, but the sharded engine may log from fan-out paths.
 type syncBuffer struct {
 	mu sync.Mutex
@@ -30,7 +30,7 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-func seedSlowLogDB(t *testing.T, db twsim.Backend) {
+func seedSlowLogDB(t *testing.T, db queryDB) {
 	t.Helper()
 	for i := 0; i < 16; i++ {
 		base := float64(i % 4)
@@ -44,28 +44,7 @@ func seedSlowLogDB(t *testing.T, db twsim.Backend) {
 // key=value line whose request_id matches the RequestID stamped on the
 // returned Result, for range searches, k-NN, and batches, on both engines.
 func TestSlowQueryLog(t *testing.T) {
-	engines := []struct {
-		name string
-		open func(t *testing.T, o twsim.Options) twsim.Backend
-	}{
-		{"single", func(t *testing.T, o twsim.Options) twsim.Backend {
-			db, err := twsim.OpenMem(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { db.Close() })
-			return db
-		}},
-		{"sharded", func(t *testing.T, o twsim.Options) twsim.Backend {
-			db, err := twsim.OpenMemSharded(twsim.ShardedOptions{Options: o, Shards: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { db.Close() })
-			return db
-		}},
-	}
-	for _, eng := range engines {
+	for _, eng := range testEngines {
 		t.Run(eng.name, func(t *testing.T) {
 			var buf syncBuffer
 			db := eng.open(t, twsim.Options{
@@ -79,11 +58,11 @@ func TestSlowQueryLog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			knn, err := db.NearestKStats(q, 3)
+			knn, err := db.NearestKCtx(bg, q, 3, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch, err := db.SearchBatch([][]float64{q, {0, 1, 2, 1}}, 0.5, 2)
+			batch, err := db.SearchBatchCtx(bg, [][]float64{q, {0, 1, 2, 1}}, 0.5, 0, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -133,8 +133,8 @@ type Options struct {
 	// warpings within the band are permissible, which both sharpens the
 	// similarity model and unlocks the banded envelope cascade tiers
 	// (LB_Keogh on the banded envelope and Lemire's LB_Improved). Negative
-	// values are rejected at query time. Per-query overrides: SearchBand,
-	// NearestKBand, SearchBatchBand.
+	// values are rejected at query time. Per-query overrides: the band
+	// argument of SearchCtx, NearestKCtx, and SearchBatchCtx.
 	//
 	// Every search remains exact for the distance it answers: all filter
 	// tiers lower-bound BandDistance (a band only removes permissible
@@ -168,8 +168,9 @@ type Options struct {
 	ResultCacheBytes int64
 	// QueryDeadline, when positive, bounds every query's execution: a query
 	// exceeding it is abandoned at its next candidate boundary with
-	// context.DeadlineExceeded. It composes with caller contexts (SearchCtx
-	// et al.): whichever expires first cancels. 0 means no deadline.
+	// context.DeadlineExceeded. It composes with caller contexts (SearchCtx,
+	// NearestKCtx, SearchBatchCtx): whichever expires first cancels. 0 means
+	// no deadline.
 	QueryDeadline time.Duration
 	// WAL enables the group-commit write-ahead log on on-disk databases:
 	// every acknowledged Add/AddBatch/Remove survives a crash (Open
@@ -203,20 +204,6 @@ func (o Options) refineWorkers() int {
 	return o.RefineWorkers
 }
 
-// applyDeadline attaches Options.QueryDeadline to the caller's context (nil
-// means no caller context). The returned cancel must always be called; with
-// no deadline configured it is a no-op and the context passes through
-// untouched.
-func (o Options) applyDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if o.QueryDeadline <= 0 {
-		return ctx, func() {}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithTimeout(ctx, o.QueryDeadline)
-}
-
 // RepairStats summarizes the Open-time reconciliation between the sequence
 // heap and the feature index (see Open and Repair).
 type RepairStats = core.RepairStats
@@ -225,12 +212,11 @@ type RepairStats = core.RepairStats
 // with the stored sequences. A DB is safe for concurrent readers; writers
 // require external serialization.
 type DB struct {
+	queryPath   // options, base distance, result cache
 	store       *seqdb.DB
 	index       core.Index
 	envs        *core.EnvStore
-	base        Base
 	dir         string // empty when in-memory
-	opts        Options
 	engine      string // resolved index engine
 	repair      RepairStats
 	envsRebuilt bool     // Open rebuilt the envelope sidecar; Flush persists it
@@ -240,8 +226,7 @@ type DB struct {
 	// index or heap access, it stamps result-cache entries so a cached
 	// answer is served only while the database is byte-for-byte the one
 	// that computed it.
-	gen    atomic.Uint64
-	rcache *core.ResultCache // nil when Options.ResultCacheBytes == 0
+	gen atomic.Uint64
 	// wal is the group-commit write-ahead log (nil unless Options.WAL on
 	// an on-disk database); walReplayed records that Open applied logged
 	// mutations, forcing a reconcile + checkpoint before Open returns.
@@ -323,8 +308,7 @@ func OpenMem(opts Options) (*DB, error) {
 		store.Close()
 		return nil, err
 	}
-	return &DB{store: store, index: index, envs: core.NewEnvStore(), base: opts.Base, opts: opts, engine: engine,
-		rcache: core.NewResultCache(opts.ResultCacheBytes)}, nil
+	return &DB{queryPath: newQueryPath(opts, engine), store: store, index: index, envs: core.NewEnvStore(), engine: engine}, nil
 }
 
 // Create creates a new on-disk database in directory dir.
@@ -339,8 +323,7 @@ func Create(dir string, opts Options) (*DB, error) {
 		store.Close()
 		return nil, err
 	}
-	db := &DB{store: store, index: index, envs: core.NewEnvStore(), base: opts.Base, dir: dir, opts: opts, engine: engine,
-		rcache: core.NewResultCache(opts.ResultCacheBytes)}
+	db := &DB{queryPath: newQueryPath(opts, engine), store: store, index: index, envs: core.NewEnvStore(), dir: dir, engine: engine}
 	if opts.WAL {
 		wlog, err := wal.Create(filepath.Join(dir, walFileName), 1, opts.walOptions())
 		if err != nil {
@@ -368,8 +351,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("twsim: %s does not contain a database: %w", dir, err)
 	}
 	engine := opts.resolveEngine(dir)
-	db := &DB{store: store, base: opts.Base, dir: dir, opts: opts, engine: engine,
-		rcache: core.NewResultCache(opts.ResultCacheBytes)}
+	db := &DB{queryPath: newQueryPath(opts, engine), store: store, dir: dir, engine: engine}
 	if opts.WAL {
 		// Replay the WAL tail over the heap before the index opens: the
 		// index layers below reconcile against whatever the heap holds, so
@@ -723,196 +705,82 @@ func (db *DB) ResultCacheStats() core.ResultCacheStats { return db.rcache.Stats(
 // per-call override is given (Options.Band).
 func (db *DB) DefaultBand() int { return db.opts.Band }
 
-// cachedResult assembles the Result a cache hit returns: the stored matches
-// (already a private copy), zero work counters — no index walk, fetch, or
-// DTW ran, so the conservation law holds trivially as 0 = 0 — and a fresh
-// RequestID stamped by the caller.
-func cachedResult(ms []Match, start time.Time) *Result {
-	res := &Result{Matches: ms, CacheHit: true}
-	res.Stats.Results = len(ms)
-	res.Stats.Wall = time.Since(start)
-	return res
-}
-
-// validateBand rejects invalid band half-widths at the API boundary. 0 is
-// the unconstrained distance; ≥ 1 is a Sakoe–Chiba half-width; negative
-// values have no meaning at this layer and are an error (the internal dtw
-// package's r<0 = unconstrained convention is deliberately not exposed —
-// the zero value must mean "historical behavior").
-func validateBand(band int) error {
-	if band < 0 {
-		return fmt.Errorf("twsim: negative band half-width %d", band)
-	}
-	return nil
-}
-
 // Search finds every sequence whose time warping distance to query is at
 // most epsilon, using the paper's TW-Sim-Search (Algorithm 1): index range
-// query with Dtw-lb, then exact DTW refinement. No false dismissal. The
-// distance answered is the unconstrained Dtw when Options.Band is 0, the
-// banded BandDistance otherwise.
+// query with Dtw-lb, then exact DTW refinement. No false dismissal. It is
+// SearchCtx under the default band (Options.Band: 0 answers the
+// unconstrained Dtw, ≥ 1 the banded BandDistance) with no cancellation.
 func (db *DB) Search(query []float64, epsilon float64) (*Result, error) {
-	return db.SearchBandWorkers(query, epsilon, db.opts.Band, db.opts.refineWorkers())
+	return db.SearchCtx(context.TODO(), query, epsilon, db.opts.Band)
 }
 
-// SearchBand is Search under an explicit Sakoe–Chiba band half-width for
-// this call, overriding Options.Band: 0 answers the unconstrained time
-// warping distance, band ≥ 1 answers BandDistance(S, Q, band). Banded
-// results are exact for the banded distance — bit-identical to a
-// brute-force banded scan.
-func (db *DB) SearchBand(query []float64, epsilon float64, band int) (*Result, error) {
-	return db.SearchBandWorkers(query, epsilon, band, db.opts.refineWorkers())
-}
-
-// SearchWorkers is Search with an explicit intra-query refinement worker
-// count for this call (≤ 1 means serial), overriding Options.RefineWorkers.
-// The sharded engine uses it to spread one refine budget across shards;
-// results are bit-identical at every worker count.
-//
-// The returned Result carries a process-unique RequestID; queries whose
-// wall time reaches Options.SlowQueryThreshold are logged with it.
-func (db *DB) SearchWorkers(query []float64, epsilon float64, workers int) (*Result, error) {
-	return db.SearchBandWorkers(query, epsilon, db.opts.Band, workers)
-}
-
-// SearchBandWorkers is SearchBand with an explicit worker count.
-func (db *DB) SearchBandWorkers(query []float64, epsilon float64, band, workers int) (*Result, error) {
-	return db.SearchBandWorkersCtx(nil, query, epsilon, band, workers)
-}
-
-// SearchCtx is SearchBand governed by a context: the query is abandoned at
-// its next candidate boundary once ctx is done (the context's error is
-// returned), and Options.QueryDeadline, if set, caps the execution time on
-// top. A completed search is bit-identical to SearchBand — cancellation
-// only abandons work, it never skips a qualifying candidate.
+// SearchCtx is the range query: every sequence within epsilon of query
+// under the Sakoe–Chiba band half-width band (0 = unconstrained, ≥ 1 =
+// BandDistance(S, Q, band); banded results are bit-identical to a
+// brute-force banded scan). The query is abandoned at its next candidate
+// boundary once ctx is done (the context's error is returned), and
+// Options.QueryDeadline, if set, caps the execution time on top; a
+// completed search is bit-identical to an uncancelled one. Invalid inputs
+// fail with ErrInvalidQuery. The whole-query result cache, when enabled,
+// answers repeats with zero search work (see Options.ResultCacheBytes).
+// The Result carries a process-unique RequestID; queries whose wall time
+// reaches Options.SlowQueryThreshold are logged with it.
 func (db *DB) SearchCtx(ctx context.Context, query []float64, epsilon float64, band int) (*Result, error) {
-	return db.SearchBandWorkersCtx(ctx, query, epsilon, band, db.opts.refineWorkers())
-}
-
-// SearchBandWorkersCtx is the most general range-query entry point —
-// explicit context, band, and worker count; every other Search variant
-// delegates here. The whole-query result cache, when enabled, is consulted
-// first: the write generation is loaded before any index or heap read, a
-// generation-stamped hit is returned with zero search work, and a computed
-// answer is stored under the pre-query generation so any overlapping write
-// invalidates it (see Options.ResultCacheBytes).
-func (db *DB) SearchBandWorkersCtx(ctx context.Context, query []float64, epsilon float64, band, workers int) (*Result, error) {
-	if len(query) == 0 {
-		return nil, seq.ErrEmpty
-	}
-	if err := seq.CheckFinite(query); err != nil {
-		return nil, err
-	}
-	if epsilon < 0 {
-		return nil, fmt.Errorf("twsim: negative tolerance %g", epsilon)
-	}
-	if err := validateBand(band); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var key string
-	var preGen uint64
-	if db.rcache != nil {
-		key = core.ResultCacheKey('r', db.base, db.engine, band, epsilon, 0, query)
-		preGen = db.gen.Load() // before any index/heap read of this query
-		if ms, ok := db.rcache.Get(key, preGen); ok {
-			res := cachedResult(ms, start)
-			res.RequestID = nextRequestID()
-			db.opts.logSlowQuery("search", res.RequestID, len(query), fmt.Sprintf("epsilon=%g band=%d", epsilon, band), res.Stats)
-			return res, nil
-		}
-	}
-	ctx, cancel := db.opts.applyDeadline(ctx)
-	defer cancel()
-	res, err := db.searcher(ctx, workers, band).Search(seq.Sequence(query), epsilon)
-	if err != nil {
-		return nil, err
-	}
-	if db.rcache != nil {
-		db.rcache.Put(key, preGen, res.Matches)
-	}
-	res.RequestID = nextRequestID()
-	db.opts.logSlowQuery("search", res.RequestID, len(query), fmt.Sprintf("epsilon=%g band=%d", epsilon, band), res.Stats)
-	return res, nil
+	return db.run(ctx, db, querySpec{kind: rangeQuery, values: query, epsilon: epsilon, band: band})
 }
 
 // NearestK returns the k sequences with the smallest exact time warping
 // distance to query, in ascending distance order (an extension enabled by
-// Dtw-lb being a true lower bound of Dtw). The distance is unconstrained
-// when Options.Band is 0, banded otherwise.
+// Dtw-lb being a true lower bound of Dtw), under the default band. Use
+// NearestKCtx for the query's work counters, a band override, or
+// cancellation.
 func (db *DB) NearestK(query []float64, k int) ([]Match, error) {
-	res, err := db.NearestKStats(query, k)
+	res, err := db.NearestKCtx(context.TODO(), query, k, db.opts.Band)
 	if err != nil {
 		return nil, err
 	}
 	return res.Matches, nil
 }
 
-// NearestKBand is NearestK under an explicit Sakoe–Chiba band half-width
-// for this call, overriding Options.Band (0 = unconstrained).
-func (db *DB) NearestKBand(query []float64, k, band int) ([]Match, error) {
-	res, err := db.NearestKStatsBand(query, k, band)
-	if err != nil {
-		return nil, err
-	}
-	return res.Matches, nil
-}
-
-// NearestKStats is NearestK returning the full Result: the matches plus the
-// query's work counters (candidates, cascade prune tiers, DTW calls, wall
-// time) and its RequestID. The serving layer uses it to export k-NN traffic
-// into the same metrics and slow-query log as range searches.
-func (db *DB) NearestKStats(query []float64, k int) (*Result, error) {
-	return db.NearestKStatsBand(query, k, db.opts.Band)
-}
-
-// NearestKStatsBand is NearestKStats under an explicit band half-width for
-// this call, overriding Options.Band (0 = unconstrained).
-func (db *DB) NearestKStatsBand(query []float64, k, band int) (*Result, error) {
-	return db.NearestKCtx(nil, query, k, band)
-}
-
-// NearestKCtx is NearestKStatsBand governed by a context: the walk is
-// abandoned at its next candidate boundary once ctx is done, and
-// Options.QueryDeadline, if set, caps the execution time on top. The
-// whole-query result cache, when enabled, serves repeated queries without
-// re-running the walk (see SearchBandWorkersCtx for the coherence
-// protocol).
+// NearestKCtx is the k-NN query under an explicit band half-width
+// (0 = unconstrained), governed by a context exactly as SearchCtx is. The
+// Result carries the matches plus the query's work counters (candidates,
+// cascade prune tiers, DTW calls, wall time) and its RequestID, so k-NN
+// traffic feeds the same metrics and slow-query log as range searches.
 func (db *DB) NearestKCtx(ctx context.Context, query []float64, k, band int) (*Result, error) {
-	if len(query) == 0 {
-		return nil, seq.ErrEmpty
-	}
-	if err := seq.CheckFinite(query); err != nil {
-		return nil, err
-	}
-	if err := validateBand(band); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var key string
-	var preGen uint64
-	if db.rcache != nil {
-		key = core.ResultCacheKey('k', db.base, db.engine, band, 0, k, query)
-		preGen = db.gen.Load() // before any index/heap read of this query
-		if ms, ok := db.rcache.Get(key, preGen); ok {
-			res := cachedResult(ms, start)
-			res.RequestID = nextRequestID()
-			db.opts.logSlowQuery("knn", res.RequestID, len(query), fmt.Sprintf("k=%d band=%d", k, band), res.Stats)
-			return res, nil
+	return db.run(ctx, db, querySpec{kind: knnQuery, values: query, k: k, band: band})
+}
+
+// execute runs a validated query on this database at the configured
+// refine parallelism (queryEngine).
+func (db *DB) execute(ctx context.Context, q querySpec) (*Result, error) {
+	if q.kind == knnQuery {
+		ms, stats, err := db.nearestKWorkers(ctx, q.values, q.k, q.band, nil, db.opts.refineWorkers())
+		if err != nil {
+			return nil, err
 		}
+		return &Result{Matches: ms, Stats: stats}, nil
 	}
-	ctx, cancel := db.opts.applyDeadline(ctx)
-	defer cancel()
-	ms, stats, err := db.NearestKStatsBandWorkersCtx(ctx, query, k, band, nil, db.opts.refineWorkers())
-	if err != nil {
-		return nil, err
-	}
-	if db.rcache != nil {
-		db.rcache.Put(key, preGen, ms)
-	}
-	res := &Result{Matches: ms, Stats: stats, RequestID: nextRequestID()}
-	db.opts.logSlowQuery("knn", res.RequestID, len(query), fmt.Sprintf("k=%d band=%d", k, band), res.Stats)
-	return res, nil
+	return db.searchWorkers(ctx, q.values, q.epsilon, q.band, db.opts.refineWorkers())
+}
+
+// searchWorkers runs TW-Sim-Search with an explicit intra-query refine
+// worker count (≤ 1 = serial) and no validation, cache, deadline, or
+// logging — the caller's query path did those. Results are bit-identical
+// at every worker count.
+func (db *DB) searchWorkers(ctx context.Context, query []float64, epsilon float64, band, workers int) (*Result, error) {
+	return db.searcher(ctx, workers, band).Search(seq.Sequence(query), epsilon)
+}
+
+// nearestKWorkers is searchWorkers for k-NN, with an optional shared
+// pruning bound: when several databases partition one logical data set
+// (the shards of a ShardedDB), concurrent per-partition walks publishing
+// into one bound prune each other, and the merged, re-sorted,
+// truncated-to-k union of their survivors equals the unpartitioned answer.
+// Under a shared bound the survivors need not be this partition's own true
+// top-k. The stats satisfy Candidates = ΣPruned + DTWCalls.
+func (db *DB) nearestKWorkers(ctx context.Context, query []float64, k, band int, bound *core.SharedBound, workers int) ([]Match, QueryStats, error) {
+	return db.searcher(ctx, workers, band).NearestKSharedStats(seq.Sequence(query), k, bound)
 }
 
 // StorageStats snapshots the storage-layer counters: data and index buffer

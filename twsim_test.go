@@ -1,6 +1,7 @@
 package twsim_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -8,6 +9,47 @@ import (
 
 	twsim "repro"
 )
+
+// bg is the never-cancelling context the tests pass to the Ctx entry points.
+var bg = context.Background()
+
+// queryDB is the query surface *DB and *ShardedDB share beyond Backend: the
+// default-band forms and batch search.
+type queryDB interface {
+	twsim.Backend
+	Search(query []float64, epsilon float64) (*twsim.Result, error)
+	NearestK(query []float64, k int) ([]twsim.Match, error)
+	SearchBatchCtx(ctx context.Context, queries [][]float64, epsilon float64, band, parallelism int) ([]*twsim.Result, error)
+}
+
+var (
+	_ queryDB = (*twsim.DB)(nil)
+	_ queryDB = (*twsim.ShardedDB)(nil)
+)
+
+// testEngines opens each engine shape — a single DB and a 3-shard
+// ShardedDB — in memory with the given options, closed at test cleanup.
+var testEngines = []struct {
+	name string
+	open func(t *testing.T, o twsim.Options) queryDB
+}{
+	{"single", func(t *testing.T, o twsim.Options) queryDB {
+		db, err := twsim.OpenMem(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}},
+	{"sharded", func(t *testing.T, o twsim.Options) queryDB {
+		db, err := twsim.OpenMemSharded(twsim.ShardedOptions{Options: o, Shards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}},
+}
 
 func randomWalks(seed int64, count, minLen, maxLen int) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
