@@ -30,7 +30,9 @@ test-no-mmap:
 # Short coverage-guided fuzz passes over the ordering oracles: the deque
 # envelope vs the quadratic reference, the lower-bound chain
 # LB_Keogh <= LB_Improved <= BandDistance with BandDistance >= Distance,
-# the flat-slab codec, the mmap snapshot loader (hostile files must
+# the sparse banded kernel vs the dense banded DP (bit-identical), the
+# envelope sidecar decoder (CRC-valid hostile sidecars must be rejected or
+# load without panicking), the flat-slab codec, the mmap snapshot loader (hostile files must
 # error out or load into an index that walks without faulting), and the two
 # replica decoders — snapshot and WAL-tail bytes arrive from the network and
 # must either be rejected or apply to a replica that still passes Verify.
@@ -38,6 +40,8 @@ test-no-mmap:
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzBandedBoundChain$$' -fuzztime=5s ./internal/dtw
+	$(GO) test -run=^$$ -fuzz='^FuzzBandKernel$$' -fuzztime=5s ./internal/dtw
+	$(GO) test -run=^$$ -fuzz='^FuzzLoadEnvStore$$' -fuzztime=5s ./internal/core
 	$(GO) test -run=^$$ -fuzz='^FuzzSlabRoundtrip$$' -fuzztime=5s ./internal/flatidx
 	$(GO) test -run=^$$ -fuzz='^FuzzMmapLoad$$' -fuzztime=5s ./internal/flatidx
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeReplSnapshot$$' -fuzztime=5s .

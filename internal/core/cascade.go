@@ -468,10 +468,11 @@ func creditTier(tier int, stats *QueryStats) {
 // verifyDP runs only Tiers 2–3 (the exact DP). LB-Scan uses this directly:
 // its own LB_Yi filter already ran, so re-running Tier 1 would double-count
 // work without pruning anything new. Unconstrained queries use the fused
-// sparse corridor; banded queries run the early-abandoning banded DP — the
-// corridor computes the unconstrained distance, which is not the value a
-// banded query answers, and the band already restricts each DP row to
-// O(band) cells.
+// sparse corridor; banded queries run the banded kernel — the corridor
+// computes the unconstrained distance, which is not the value a banded
+// query answers. The banded kernel visits at most the 2·band+1 cells of
+// each DP row and, under a finite cutoff, only those between the previous
+// row's first and last alive (≤ cutoff) cells, so a row costs O(band).
 func (c *cascade) verifyDP(s seq.Sequence, cutoff float64, stats *QueryStats) (float64, bool) {
 	if c.band >= 1 {
 		stats.DTWCalls++

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -82,6 +83,8 @@ func (es *EnvStore) Len() int {
 const (
 	envMagic   = "TWPE"
 	envVersion = 1
+	envHeader  = 4 + 4 + 4 + 8
+	envRecSize = 4 + 4 + 16*seq.PAASegments
 )
 
 // Save writes the store to path atomically (temp file + rename). The
@@ -167,58 +170,87 @@ func (es *EnvStore) Save(path string) error {
 	return fsx.RenameAndSyncDir(tmp, path)
 }
 
+// maxEnvSpan bounds the ID span a sidecar may cover per stored record. The
+// in-memory slab has one slot per ID up to the largest, so without a bound
+// a few bytes of CRC-valid sidecar naming ID 2^32−2 would allocate over a
+// terabyte. A store whose live records fill less than 1/maxEnvSpan of its
+// ID range is treated as damaged and rebuilt from the heap on open.
+const maxEnvSpan = 64
+
 // LoadEnvStore reads a sidecar written by Save, verifying magic, version,
-// segment count, and checksum. Any inconsistency is an error — the caller
-// rebuilds from the heap instead of trusting a damaged cache.
+// segment count, checksum, and every record: the count must match the
+// payload, IDs must strictly increase (Save writes them in order) within
+// maxEnvSpan slots per record, and segment bounds must be finite with
+// Min ≤ Max. Any inconsistency is an error — the caller rebuilds from the
+// heap instead of trusting a damaged cache.
 func LoadEnvStore(path string) (*EnvStore, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	const header = 4 + 4 + 4 + 8
-	if len(raw) < header+4 {
-		return nil, fmt.Errorf("envstore: %s: truncated (%d bytes)", path, len(raw))
+	es, err := decodeEnvStore(raw)
+	if err != nil {
+		return nil, fmt.Errorf("envstore: %s: %w", path, err)
+	}
+	return es, nil
+}
+
+// decodeEnvStore parses and validates the bytes of a sidecar file.
+func decodeEnvStore(raw []byte) (*EnvStore, error) {
+	if len(raw) < envHeader+4 {
+		return nil, fmt.Errorf("truncated (%d bytes)", len(raw))
 	}
 	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
 	if got, want := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("envstore: %s: checksum mismatch", path)
+		return nil, errors.New("checksum mismatch")
 	}
 	if string(body[:4]) != envMagic {
-		return nil, fmt.Errorf("envstore: %s: bad magic", path)
+		return nil, errors.New("bad magic")
 	}
 	if v := binary.LittleEndian.Uint32(body[4:8]); v != envVersion {
-		return nil, fmt.Errorf("envstore: %s: unsupported version %d", path, v)
+		return nil, fmt.Errorf("unsupported version %d", v)
 	}
 	if segs := binary.LittleEndian.Uint32(body[8:12]); segs != seq.PAASegments {
-		return nil, fmt.Errorf("envstore: %s: segment count %d, built with %d", path, segs, seq.PAASegments)
+		return nil, fmt.Errorf("segment count %d, built with %d", segs, seq.PAASegments)
 	}
-	count := binary.LittleEndian.Uint64(body[12:header])
-	recSize := 4 + 4 + 16*seq.PAASegments
-	if uint64(len(body)-header) != count*uint64(recSize) {
-		return nil, fmt.Errorf("envstore: %s: %d records do not fit %d payload bytes",
-			path, count, len(body)-header)
+	// Divide rather than multiply: count·envRecSize wraps for a hostile count.
+	count := binary.LittleEndian.Uint64(body[12:envHeader])
+	payload := len(body) - envHeader
+	if payload%envRecSize != 0 || count != uint64(payload/envRecSize) {
+		return nil, fmt.Errorf("%d records do not fit %d payload bytes", count, payload)
 	}
-	es := NewEnvStore()
-	off := header
-	for i := uint64(0); i < count; i++ {
-		id := seq.ID(binary.LittleEndian.Uint32(body[off:]))
-		n := int(binary.LittleEndian.Uint32(body[off+4:]))
+	recs := body[envHeader:]
+	span := uint64(0) // slab slots: the last (largest) ID plus one
+	if len(recs) > 0 {
+		span = uint64(binary.LittleEndian.Uint32(recs[len(recs)-envRecSize:])) + 1
+		if span > maxEnvSpan*count {
+			return nil, fmt.Errorf("largest ID %d is too sparse for %d records", span-1, count)
+		}
+	}
+	es := &EnvStore{envs: make([]seq.PAAEnvelope, 0, span)}
+	next := uint64(0) // smallest ID the next record may carry
+	for off := 0; off < len(recs); off += envRecSize {
+		rec := recs[off : off+envRecSize]
+		id := uint64(binary.LittleEndian.Uint32(rec))
+		if id < next || id >= span {
+			return nil, fmt.Errorf("record ID %d out of order", id)
+		}
+		next = id + 1
+		n := int(binary.LittleEndian.Uint32(rec[4:]))
 		if n <= 0 {
-			return nil, fmt.Errorf("envstore: %s: record %d has length %d", path, id, n)
+			return nil, fmt.Errorf("record %d has length %d", id, n)
 		}
 		var e seq.PAAEnvelope
 		e.Len = n
-		p := off + 8
 		for k := 0; k < seq.PAASegments; k++ {
-			e.Min[k] = floatBin(binary.LittleEndian.Uint64(body[p:]))
-			p += 8
+			e.Min[k] = floatBin(binary.LittleEndian.Uint64(rec[8+8*k:]))
+			e.Max[k] = floatBin(binary.LittleEndian.Uint64(rec[8+8*(seq.PAASegments+k):]))
+			if math.IsInf(e.Min[k], 0) || math.IsInf(e.Max[k], 0) || !(e.Min[k] <= e.Max[k]) {
+				return nil, fmt.Errorf("record %d segment %d has bounds [%v, %v]",
+					id, k, e.Min[k], e.Max[k])
+			}
 		}
-		for k := 0; k < seq.PAASegments; k++ {
-			e.Max[k] = floatBin(binary.LittleEndian.Uint64(body[p:]))
-			p += 8
-		}
-		es.Put(id, e)
-		off += recSize
+		es.Put(seq.ID(id), e)
 	}
 	return es, nil
 }

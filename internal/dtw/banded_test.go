@@ -203,8 +203,8 @@ func TestLBKeoghSafeUnsoundCombinations(t *testing.T) {
 }
 
 // TestBandDistanceWithinMatchesOracle: the early-abandoning banded DP must
-// agree with BandDistance exactly — bit-identical values when within the
-// tolerance, and never a false abandon.
+// agree exactly with the dense banded DP (bandDistanceDense) — bit-identical
+// values when within the tolerance, and never a false abandon.
 func TestBandDistanceWithinMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for _, base := range cascadeBases {
@@ -212,7 +212,7 @@ func TestBandDistanceWithinMatchesOracle(t *testing.T) {
 			s := randSeq(rng, 40)
 			q := randSeq(rng, 40)
 			r := rng.Intn(8)
-			d := BandDistance(s, q, base, r)
+			d := bandDistanceDense(s, q, base, r)
 			eps := d * (0.5 + rng.Float64()) // straddles d from both sides
 			if trial%7 == 0 {
 				eps = d // boundary: within must hold at equality

@@ -24,7 +24,8 @@ func ramp(n int) seq.Sequence {
 
 // BandDistance must be finite for every non-empty pair and every r ≥ 0 —
 // in particular for steep slopes like |S|=2 vs |Q|=10 that used to yield
-// disjoint band rows.
+// disjoint band rows — and agree bit for bit with the dense banded DP
+// (bandDistanceDense), which carries the same half-width floor.
 func TestBandDistanceFiniteForSteepSlopes(t *testing.T) {
 	for _, base := range []seq.Base{seq.LInf, seq.L1, seq.L2Sq} {
 		for n := 1; n <= 10; n++ {
@@ -33,6 +34,12 @@ func TestBandDistanceFiniteForSteepSlopes(t *testing.T) {
 					d := BandDistance(ramp(n), ramp(m), base, r)
 					if math.IsInf(d, 1) {
 						t.Fatalf("BandDistance(|s|=%d, |q|=%d, %v, r=%d) = +Inf", n, m, base, r)
+					}
+					if want := bandDistanceDense(ramp(n), ramp(m), base, r); math.Float64bits(d) != math.Float64bits(want) {
+						t.Fatalf("BandDistance(|s|=%d, |q|=%d, %v, r=%d) = %g, dense %g", n, m, base, r, d, want)
+					}
+					if got, ok := BandDistanceWithin(ramp(n), ramp(m), base, r, d); !ok || got != d {
+						t.Fatalf("BandDistanceWithin(|s|=%d, |q|=%d, %v, r=%d, eps=%g) = (%g, %v)", n, m, base, r, d, got, ok)
 					}
 					// A band constrains warpings, so the result can never
 					// drop below the unconstrained distance.
@@ -52,12 +59,12 @@ func TestBandDistanceShortVsLong(t *testing.T) {
 	s := seq.Sequence{0, 9}
 	q := ramp(10)
 	for r := 0; r <= 2; r++ {
-		if d := BandDistance(s, q, seq.LInf, r); math.IsInf(d, 1) {
-			t.Fatalf("r=%d: +Inf for 2-vs-10 sequences", r)
+		if d := BandDistance(s, q, seq.LInf, r); math.IsInf(d, 1) || d != bandDistanceDense(s, q, seq.LInf, r) {
+			t.Fatalf("r=%d: %g for 2-vs-10 sequences, dense %g", r, d, bandDistanceDense(s, q, seq.LInf, r))
 		}
 		// Symmetric orientation.
-		if d := BandDistance(q, s, seq.LInf, r); math.IsInf(d, 1) {
-			t.Fatalf("r=%d: +Inf for 10-vs-2 sequences", r)
+		if d := BandDistance(q, s, seq.LInf, r); math.IsInf(d, 1) || d != bandDistanceDense(q, s, seq.LInf, r) {
+			t.Fatalf("r=%d: %g for 10-vs-2 sequences, dense %g", r, d, bandDistanceDense(q, s, seq.LInf, r))
 		}
 	}
 }

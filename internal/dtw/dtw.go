@@ -117,73 +117,13 @@ func BandDistance(s, q seq.Sequence, base seq.Base, r int) float64 {
 	if r < 0 {
 		return Distance(s, q, base)
 	}
-	switch {
-	case s.Empty() && q.Empty():
-		return 0
-	case s.Empty() || q.Empty():
-		return Inf
-	}
-	n, m := len(s), len(q)
-	if n == 1 || m == 1 {
-		// A single row (or column) must traverse the whole other sequence;
-		// no band can constrain it.
-		return Distance(s, q, base)
-	}
-	// Slope-normalize the band so corner cells stay reachable for unequal
-	// lengths: the band follows the stretched diagonal j ≈ i·(m-1)/(n-1).
-	slope := float64(m-1) / float64(n-1)
-	// Consecutive row centers advance by up to ⌈slope⌉ columns; ranges of
-	// half-width w connect (lo_i ≤ hi_{i-1}+1) iff that advance is ≤ 2w+1.
-	// Widen r to the smallest w that guarantees it, ⌈(⌈slope⌉−1)/2⌉, which
-	// is 0 for slope ≤ 1 (the classic equal-length band is untouched).
-	halfWidth := r
-	if minHalf := int(math.Ceil(slope)) / 2; minHalf > halfWidth {
-		halfWidth = minHalf
-	}
-	rp := acquireRows(m)
-	defer releaseRows(rp)
-	prev, cur := rp.prev, rp.cur
-	for j := range prev {
-		prev[j] = Inf
-		cur[j] = Inf
-	}
-	lo0, hi0 := bandRange(0, slope, halfWidth, m)
-	for j := lo0; j <= hi0; j++ {
-		e := base.Elem(s[0], q[j])
-		if j == 0 {
-			prev[j] = e
-		} else if prev[j-1] < Inf {
-			prev[j] = base.Combine(e, prev[j-1])
-		}
-	}
-	for i := 1; i < n; i++ {
-		lo, hi := bandRange(i, slope, halfWidth, m)
-		for j := 0; j < m; j++ {
-			cur[j] = Inf
-		}
-		for j := lo; j <= hi; j++ {
-			best := prev[j]
-			if j > 0 {
-				if cur[j-1] < best {
-					best = cur[j-1]
-				}
-				if prev[j-1] < best {
-					best = prev[j-1]
-				}
-			}
-			if math.IsInf(best, 1) {
-				continue
-			}
-			cur[j] = base.Combine(base.Elem(s[i], q[j]), best)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[m-1]
+	d, _ := BandDistanceWithin(s, q, base, r, Inf)
+	return d
 }
 
 // BandDistanceWithin is BandDistance with early abandoning: it returns
 // (d, true) with the exact banded distance when d ≤ epsilon and (+Inf,
-// false) as soon as every cell of a band row exceeds epsilon (cell values
+// false) as soon as no cell of a band row is within epsilon (cell values
 // never decrease along a path, so no completion can come back under it).
 // The banded refine path uses this the way the unbanded one uses the
 // corridor refiner. r < 0 falls back to DistanceWithin.
@@ -204,65 +144,113 @@ func BandDistanceWithin(s, q seq.Sequence, base seq.Base, r int, epsilon float64
 	if base.Elem(s[0], q[0]) > epsilon || base.Elem(s[len(s)-1], q[len(q)-1]) > epsilon {
 		return Inf, false
 	}
-	n, m := len(s), len(q)
-	if n == 1 || m == 1 {
+	if len(s) == 1 || len(q) == 1 {
+		// A single row (or column) must traverse the whole other sequence;
+		// no band can constrain it.
 		return DistanceWithin(s, q, base, epsilon)
 	}
+	return bandKernel(s, q, base, r, epsilon)
+}
+
+// bandKernel is the banded DP behind BandDistance and BandDistanceWithin:
+// (d, true) with the exact banded distance d when d ≤ cutoff, else (+Inf,
+// false). Requires len(s), len(q) ≥ 2 and r ≥ 0.
+//
+// It visits only live cells. A cell is alive when its value is ≤ cutoff,
+// and each row keeps the interval from its first to its last alive cell.
+// Row i visits band cells from max(lo_i, first alive) to one past the last
+// alive (the diagonal step), then steps horizontally while cells stay
+// alive; cells outside that span have no alive predecessor. Dead
+// predecessors outside the interval stand in as +Inf, exact for the reason
+// the Refiner type comment gives. Rows are never cleared: a row reads only
+// its predecessor's interval, all of which that row wrote. A row with no
+// alive cell ends the call.
+//
+// Per base, a cell is a branch-free |x−y| (squared for L2Sq) combined by
+// max (L∞) or add with the minimum live predecessor. Values equal the dense
+// banded DP's, bit for bit on inputs without negative zeros (math.Abs and
+// the builtin min may turn a −0 the dense DP carries into +0).
+func bandKernel(s, q []float64, base seq.Base, r int, cutoff float64) (float64, bool) {
+	n, m := len(s), len(q)
+	// Slope-normalize the band so corner cells stay reachable for unequal
+	// lengths: the band follows the stretched diagonal j ≈ i·(m-1)/(n-1).
 	slope := float64(m-1) / float64(n-1)
-	halfWidth := r
-	if minHalf := int(math.Ceil(slope)) / 2; minHalf > halfWidth {
-		halfWidth = minHalf
+	// Consecutive row centers advance by up to ⌈slope⌉ columns; ranges of
+	// half-width w connect (lo_i ≤ hi_{i-1}+1) iff that advance is ≤ 2w+1.
+	// Widen r to the smallest w that guarantees it, ⌈(⌈slope⌉−1)/2⌉, which
+	// is 0 for slope ≤ 1 (the classic equal-length band is untouched).
+	if minHalf := int(math.Ceil(slope)) / 2; minHalf > r {
+		r = minHalf
+	}
+	lInf, squared := base == seq.LInf, base == seq.L2Sq
+	cell := func(d, best float64) float64 { // d = s[i] - q[j]
+		d = math.Abs(d)
+		if squared {
+			d *= d
+		}
+		if !lInf {
+			return d + best
+		}
+		if best > d {
+			return best
+		}
+		return d
 	}
 	rp := acquireRows(m)
 	defer releaseRows(rp)
 	prev, cur := rp.prev, rp.cur
-	for j := range prev {
-		prev[j] = Inf
-		cur[j] = Inf
-	}
-	lo0, hi0 := bandRange(0, slope, halfWidth, m)
-	for j := lo0; j <= hi0; j++ {
-		e := base.Elem(s[0], q[j])
-		if j == 0 {
-			prev[j] = e
-		} else if prev[j-1] < Inf {
-			prev[j] = base.Combine(e, prev[j-1])
+
+	aLo, aHi := 0, -1 // the previous row's alive interval (none before row 0)
+	for i := 0; i < n; i++ {
+		si := s[i]
+		lo, hi := bandRange(i, slope, r, m)
+		j := max(lo, aLo)
+		if j > min(hi, aHi+1) {
+			return Inf, false // beyond aHi+1 only a horizontal predecessor
 		}
-	}
-	for i := 1; i < n; i++ {
-		lo, hi := bandRange(i, slope, halfWidth, m)
-		for j := 0; j < m; j++ {
-			cur[j] = Inf
+		first := j
+		left, diag := Inf, Inf // cur[j-1] and prev[j-1] as predecessors
+		if i == 0 {
+			diag = 0 // the DP's boundary cell before (0,0)
+		} else if j > aLo {
+			diag = prev[j-1]
 		}
-		alive := false
-		for j := lo; j <= hi; j++ {
-			best := prev[j]
-			if j > 0 {
-				if cur[j-1] < best {
-					best = cur[j-1]
-				}
-				if prev[j-1] < best {
-					best = prev[j-1]
-				}
-			}
-			if math.IsInf(best, 1) {
-				continue
-			}
-			v := base.Combine(base.Elem(s[i], q[j]), best)
-			cur[j] = v
-			if v <= epsilon {
-				alive = true
-			}
+		// Cells with a vertical predecessor in the previous interval.
+		for end := min(hi, aHi); j <= end; j++ {
+			up := prev[j]
+			left = cell(si-q[j], min(left, min(up, diag)))
+			cur[j] = left
+			diag = up
 		}
-		if !alive {
+		// Past it: the diagonal step off its last cell, then horizontal
+		// steps while cells stay alive.
+		for ; j <= hi; j++ {
+			best := min(left, diag)
+			if !(best <= cutoff) {
+				break
+			}
+			left = cell(si-q[j], best)
+			cur[j] = left
+			diag = Inf
+		}
+		// Trim the visited span [first, j) to its alive interval.
+		for first < j && !(cur[first] <= cutoff) {
+			first++
+		}
+		if first == j {
 			return Inf, false
 		}
+		last := j - 1
+		for !(cur[last] <= cutoff) {
+			last--
+		}
+		aLo, aHi = first, last
 		prev, cur = cur, prev
 	}
-	if d := prev[m-1]; d <= epsilon {
-		return d, true
+	if aHi != m-1 {
+		return Inf, false
 	}
-	return Inf, false
+	return prev[m-1], true
 }
 
 func bandRange(i int, slope float64, r, m int) (lo, hi int) {
