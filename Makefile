@@ -30,7 +30,8 @@ test-no-mmap:
 # Short coverage-guided fuzz passes over the ordering oracles: the deque
 # envelope vs the quadratic reference, the lower-bound chain
 # LB_Keogh <= LB_Improved <= BandDistance with BandDistance >= Distance,
-# the sparse banded kernel vs the dense banded DP (bit-identical), the
+# the one sparse DP kernel vs the dense DP (bit-identical; each fuzzed pair
+# runs under its band and unconstrained in both argument orders), the
 # envelope sidecar decoder (CRC-valid hostile sidecars must be rejected or
 # load without panicking), the flat-slab codec, the mmap snapshot loader (hostile files must
 # error out or load into an index that walks without faulting), and the two

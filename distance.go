@@ -7,20 +7,25 @@ import (
 
 // Distance computes the exact time warping distance between two sequences
 // of arbitrary lengths under the given base distance (the paper's
-// Definition 1/2) in O(len(s)·len(q)) time and O(min) memory.
+// Definition 1/2) in O(len(s)·len(q)) time and O(min) memory. Every
+// warping path visits every element, so if either sequence holds a NaN or
+// ±Inf element no path has a finite cost and the result is +Inf.
 func Distance(s, q []float64, base Base) float64 {
 	return dtw.Distance(seq.Sequence(s), seq.Sequence(q), base)
 }
 
 // DistanceWithin computes the time warping distance but abandons early once
 // the result provably exceeds epsilon, returning ok=false in that case.
+// If either sequence holds a NaN or ±Inf element, the result is
+// (+Inf, false) for every finite epsilon, agreeing with Distance's +Inf.
 func DistanceWithin(s, q []float64, base Base, epsilon float64) (d float64, ok bool) {
 	return dtw.DistanceWithin(seq.Sequence(s), seq.Sequence(q), base, epsilon)
 }
 
 // BandDistance computes the time warping distance restricted to a
 // slope-normalized Sakoe–Chiba band of half-width r (r < 0 disables the
-// band). A band constrains warping, so the result is ≥ Distance.
+// band). A band constrains warping, so the result is ≥ Distance. Like
+// Distance it is +Inf if either sequence holds a NaN or ±Inf element.
 func BandDistance(s, q []float64, base Base, r int) float64 {
 	return dtw.BandDistance(seq.Sequence(s), seq.Sequence(q), base, r)
 }
@@ -41,7 +46,9 @@ func ItakuraDistance(s, q []float64, base Base) float64 {
 }
 
 // WarpingPath returns the exact time warping distance together with one
-// optimal warping path as (i, j) element-mapping pairs.
+// optimal warping path as (i, j) element-mapping pairs. If either sequence
+// holds a NaN or ±Inf element, no path has a finite cost: the result is
+// +Inf with an empty path.
 func WarpingPath(s, q []float64, base Base) (float64, []PathStep) {
 	d, p := dtw.DistancePath(seq.Sequence(s), seq.Sequence(q), base)
 	out := make([]PathStep, len(p))

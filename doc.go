@@ -45,13 +45,13 @@
 // Candidate refinement runs through a tiered cascade of true lower bounds,
 // cheapest first: LB_Kim re-checked on the stored index point (before the
 // heap fetch), LB_Keogh against the query's global envelope, the completed
-// two-sided Yi bound, and finally a fused sparse dynamic program that
-// visits only the DP cells whose exact value stays within the cutoff —
+// two-sided Yi bound, and finally a sparse dynamic program that keeps one
+// interval of DP cells per row whose exact value stays within the cutoff —
 // rejecting hopeless candidates at a fraction of a full evaluation and
 // producing the exact distance for survivors in the same pass. Every tier
 // preserves the no-false-dismissal guarantee, results are bit-identical to
 // running the plain DP on every candidate (Options.DisableCascade restores
-// that behavior for comparison), and the DP kernels reuse pooled rows, so
+// that behavior for comparison), and the DP kernel reuses pooled rows, so
 // steady-state refinement performs no allocations. Result.Stats reports
 // per-tier dismissal counters alongside the exact-DTW call count.
 //

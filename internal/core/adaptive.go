@@ -57,7 +57,6 @@ func (a *AdaptiveSearch) Search(q seq.Sequence, epsilon float64) (*Result, error
 
 	if a.useSweep(len(entries), cm) {
 		c := newCascade(q, a.Base, 0, nil, false)
-		defer c.close()
 		// Tier 0 runs while building the sweep's membership set, so pruned
 		// candidates never even get their heap record inspected.
 		candSet := make(map[seq.ID]bool, len(entries))

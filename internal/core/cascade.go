@@ -25,9 +25,8 @@ import (
 //	Tier 1b   verify        — the completed two-sided LB_Yi
 //	Tier 1c   verify        — the second pass of Lemire's LB_Improved
 //	                          (banded equal-length queries only)
-//	Tier 2–3  verify        — the exact DP: the sparse alive-run corridor
-//	                          (dtw.Refiner) for unconstrained queries, the
-//	                          early-abandoning banded DP for banded ones
+//	Tier 2–3  verify        — the exact DP: one sparse early-abandoning
+//	                          kernel, unconstrained or banded
 //
 // Every unconstrained bound stays sound for banded queries because a band
 // only removes permissible warpings: BandDistance ≥ Distance ≥ each bound.
@@ -36,8 +35,7 @@ import (
 // k-th-best bound for k-NN (including the cross-shard SharedBound), so the
 // tiers tighten as a k-NN search proceeds.
 //
-// A cascade holds a pooled dtw.Refiner; build one per query with newCascade
-// and close it when the query completes. Not safe for concurrent use.
+// Build one cascade per query with newCascade. Not safe for concurrent use.
 type cascade struct {
 	// paaPruner carries q, base, band, and the cached query-side PAA
 	// reductions; embedding it gives the cascade Tier 0.5 and lets the
@@ -50,7 +48,6 @@ type cascade struct {
 	bandEnv  dtw.Envelope // banded envelope of q; built only when band ≥ 1
 	envs     *EnvStore
 	impr     dtw.ImprovedScratch
-	refiner  *dtw.Refiner
 	disabled bool
 }
 
@@ -70,7 +67,7 @@ type paaPruner struct {
 }
 
 // newPAAPruner builds a standalone pruner for the index walk — the cheap
-// subset of newCascade (no envelopes, no refiner pool round-trip).
+// subset of newCascade (no envelopes).
 func newPAAPruner(q seq.Sequence, base seq.Base, band int) *paaPruner {
 	if band < 0 {
 		band = 0
@@ -90,12 +87,12 @@ type paaQuery struct {
 }
 
 // newCascade prepares the per-query state: the query feature vector
-// (Tier 0), the envelopes (Tiers 0.5–1c, computed once per query), and a
-// pooled refiner (Tiers 2–3). band ≥ 1 switches the exact distance to
-// dtw.BandDistance with that half-width; envs enables the pre-fetch LB_PAA
-// tier. With disabled=true every candidate goes straight to the exact DP —
-// the seed's behavior, kept for benchmarks and oracle tests (the band still
-// applies: a disabled banded cascade is the brute-force banded scan).
+// (Tier 0) and the envelopes (Tiers 0.5–1c, computed once per query).
+// band ≥ 1 switches the exact distance to dtw.BandDistance with that
+// half-width; envs enables the pre-fetch LB_PAA tier. With disabled=true
+// every candidate goes straight to the exact DP — the seed's behavior,
+// kept for benchmarks and oracle tests (the band still applies: a disabled
+// banded cascade is the brute-force banded scan).
 func newCascade(q seq.Sequence, base seq.Base, band int, envs *EnvStore, disabled bool) *cascade {
 	if band < 0 {
 		band = 0 // public layers validate; never let a bad band weaken a bound
@@ -112,15 +109,7 @@ func newCascade(q seq.Sequence, base seq.Base, band int, envs *EnvStore, disable
 	if band >= 1 {
 		c.bandEnv = dtw.NewEnvelope(q, band)
 	}
-	c.refiner = dtw.AcquireRefiner()
 	return c
-}
-
-func (c *cascade) close() {
-	if c.refiner != nil {
-		c.refiner.Release()
-		c.refiner = nil
-	}
 }
 
 // dtwBand returns the band in dtw-package convention: negative for the
@@ -136,10 +125,7 @@ func (c *cascade) dtwBand() int {
 // queries, the paper's unconstrained distance otherwise. k-NN uses it while
 // the cutoff is still infinite.
 func (c *cascade) exactDistance(s seq.Sequence) float64 {
-	if c.band >= 1 {
-		return dtw.BandDistance(s, c.q, c.base, c.band)
-	}
-	return dtw.Distance(s, c.q, c.base)
+	return dtw.BandDistance(s, c.q, c.base, c.dtwBand())
 }
 
 // admitPoint is Tier 0: LB_Kim evaluated between the query feature and a
@@ -467,42 +453,25 @@ func creditTier(tier int, stats *QueryStats) {
 
 // verifyDP runs only Tiers 2–3 (the exact DP). LB-Scan uses this directly:
 // its own LB_Yi filter already ran, so re-running Tier 1 would double-count
-// work without pruning anything new. Unconstrained queries use the fused
-// sparse corridor; banded queries run the banded kernel — the corridor
-// computes the unconstrained distance, which is not the value a banded
-// query answers. The banded kernel visits at most the 2·band+1 cells of
-// each DP row and, under a finite cutoff, only those between the previous
-// row's first and last alive (≤ cutoff) cells, so a row costs O(band).
+// work without pruning anything new. Banded and unconstrained queries run
+// the same sparse kernel: each DP row visits only the cells between the
+// previous row's first and last alive (≤ cutoff) cells — at most 2·band+1
+// of them under a band — so a reject costs the alive interval, not the
+// matrix. An unconstrained reject counts as CorridorPruned; banded
+// rejects, and every call of the disabled cascade (the brute-force scan),
+// count as DP evaluations (DTWCalls, DTWAbandoned).
 func (c *cascade) verifyDP(s seq.Sequence, cutoff float64, stats *QueryStats) (float64, bool) {
-	if c.band >= 1 {
+	d, ok := dtw.BandDistanceWithin(s, c.q, c.base, c.dtwBand(), cutoff)
+	switch {
+	case ok:
 		stats.DTWCalls++
-		d, ok := dtw.BandDistanceWithin(s, c.q, c.base, c.band, cutoff)
-		if !ok {
-			stats.DTWAbandoned++
-		}
-		return d, ok
-	}
-	if c.disabled {
-		stats.DTWCalls++
-		d, ok := dtw.DistanceWithin(s, c.q, c.base, cutoff)
-		if !ok {
-			stats.DTWAbandoned++
-		}
-		return d, ok
-	}
-	d, verdict := c.refiner.DistanceWithin(s, c.q, c.base, cutoff)
-	switch verdict {
-	case dtw.VerdictPruned:
-		stats.CorridorPruned++
-		return dtw.Inf, false
-	case dtw.VerdictAbandoned:
+	case c.band >= 1 || c.disabled:
 		stats.DTWCalls++
 		stats.DTWAbandoned++
-		return dtw.Inf, false
 	default:
-		stats.DTWCalls++
-		return d, true
+		stats.CorridorPruned++
 	}
+	return d, ok
 }
 
 // yiComplete finishes LB_Yi given the already-computed S-side: it scans q

@@ -66,7 +66,6 @@ func refine(ctx context.Context, db *seqdb.DB, base seq.Base, q seq.Sequence, ep
 			noCascade, band, envs, workers, stats)
 	}
 	c := newCascade(q, base, band, envs, noCascade)
-	defer c.close()
 	var matches []Match
 	for _, e := range entries {
 		if err := ctxErr(ctx); err != nil {
@@ -104,7 +103,6 @@ func refineIDs(db *seqdb.DB, base seq.Base, q seq.Sequence, epsilon float64,
 			noCascade, 0, nil, workers, stats)
 	}
 	c := newCascade(q, base, 0, nil, noCascade)
-	defer c.close()
 	var matches []Match
 	for _, id := range candidates {
 		s, err := db.Get(id)
@@ -203,7 +201,6 @@ func (l *LBScan) Search(q seq.Sequence, epsilon float64) (*Result, error) {
 	// bound), so survivors go straight to Tiers 2–3; re-running the
 	// envelope tiers would recompute the same bound.
 	c := newCascade(q, l.Base, 0, nil, false)
-	defer c.close()
 	err := l.DB.Scan(func(id seq.ID, s seq.Sequence) error {
 		res.Stats.LowerBoundCalls++
 		if dtw.LBYi(s, q, l.Base) > epsilon {
@@ -451,7 +448,6 @@ func (t *TWSimSearch) nearestKShared(q seq.Sequence, k int, shared *SharedBound,
 		return t.nearestKParallel(q, fq, k, t.Workers, shared, stats)
 	}
 	c := newCascade(q, t.Base, t.Band, t.Envs, t.NoCascade)
-	defer c.close()
 	// Deferred resolution pays only where the Tier 1 bounds are sharp: for
 	// banded queries the banded Keogh/Improved chain tracks the exact DP
 	// closely and the DTW-call floor drops ~35% (BENCH_knn.json). Unbanded

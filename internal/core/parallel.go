@@ -52,7 +52,6 @@ func refineParallel(ctx context.Context, db *seqdb.DB, base seq.Base, q seq.Sequ
 			defer wg.Done()
 			ws := &workerStats[w]
 			c := newCascade(q, base, band, envs, noCascade)
-			defer c.close()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || failed.Load() {
@@ -173,7 +172,6 @@ func (t *TWSimSearch) nearestKParallel(q seq.Sequence, fq seq.Feature, k, worker
 			defer wg.Done()
 			ws := &workerStats[w]
 			c := newCascade(q, t.Base, t.Band, t.Envs, t.NoCascade)
-			defer c.close()
 			for cand := range work {
 				if failed.Load() {
 					continue // drain so the producer never blocks

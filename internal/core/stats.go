@@ -67,16 +67,16 @@ type QueryStats struct {
 	// only runs for banded queries over equal-length pairs — the bound is
 	// undefined otherwise — so this stays zero for unbanded searches.
 	LBImprovedPruned int
-	// CorridorPruned counts candidates dismissed on Tier 2: the fused
-	// sparse DP's alive region died before the final cell, proving
-	// Dtw > epsilon while visiting only the within-cutoff part of the
-	// matrix (this subsumes the O(1) endpoint pre-check and everything a
-	// dense DP would have early-abandoned).
+	// CorridorPruned counts unbanded candidates dismissed on Tier 2: the
+	// sparse DP's alive interval emptied before the final cell, proving
+	// Dtw > epsilon while visiting only the intervals, not the matrix
+	// (this subsumes the O(1) endpoint pre-check and everything a dense DP
+	// would have early-abandoned).
 	CorridorPruned int
-	// DTWAbandoned counts dense DP invocations that early-abandoned
-	// (included in DTWCalls). With the cascade enabled those rejections
-	// surface as CorridorPruned instead, so this is nonzero mainly when
-	// the cascade is disabled.
+	// DTWAbandoned counts exact DP invocations that early-abandoned
+	// (included in DTWCalls): banded rejects, and every reject when the
+	// cascade is disabled. Unbanded rejects with the cascade enabled
+	// surface as CorridorPruned instead.
 	DTWAbandoned int
 	// KNNFrontierPushes counts k-NN walk frontier pushes (nodes, items, and
 	// envelope re-keys) across both engines' keyed walks.

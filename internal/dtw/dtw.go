@@ -29,76 +29,31 @@ var Inf = math.Inf(1)
 // over all paths. For seq.L1/seq.L2Sq costs accumulate additively
 // (Definition 1).
 //
-// The DP rows come from a sync.Pool and the inner loop is specialized per
-// base (see kernel.go), so steady-state calls allocate nothing for
-// sequences up to PooledRowCap.
+// Every path visits every element of both sequences, so an input with a NaN
+// or infinite element has distance +Inf: no path has a finite cost.
+//
+// The DP rows come from a sync.Pool (see kernel.go), so steady-state calls
+// allocate nothing for sequences up to PooledRowCap.
 func Distance(s, q seq.Sequence, base seq.Base) float64 {
-	switch {
-	case s.Empty() && q.Empty():
-		return 0
-	case s.Empty() || q.Empty():
-		return Inf
-	}
-	// Keep the inner loop over the shorter sequence to bound memory.
-	if len(q) > len(s) {
-		s, q = q, s
-	}
-	switch base {
-	case seq.LInf:
-		return distKernelLInf(s, q)
-	case seq.L1:
-		return distKernelAdd(s, q, false)
-	case seq.L2Sq:
-		return distKernelAdd(s, q, true)
-	default:
-		return distanceGeneric(s, q, base)
-	}
+	d, _ := BandDistanceWithin(s, q, base, -1, Inf)
+	return d
 }
 
 // DistanceWithin computes the time warping distance but abandons as soon as
 // it can prove the result exceeds epsilon, returning (+Inf, false) in that
 // case. When the distance is within epsilon it returns (d, true) with the
-// exact value d.
+// exact value d, bit-identical to Distance.
 //
 // Early abandoning exploits the DP's monotonicity: cell values never
 // decrease along a path, so once every cell of a row exceeds epsilon no
 // completion can come back under it. With the L∞ base this triggers
 // especially early (§4.1: "the decisions happen each time the distance
 // between any element pair exceeds a tolerance").
+//
+// An input with a NaN or infinite element is never within a finite
+// epsilon: the result is (+Inf, false), agreeing with Distance's +Inf.
 func DistanceWithin(s, q seq.Sequence, base seq.Base, epsilon float64) (float64, bool) {
-	switch {
-	case s.Empty() && q.Empty():
-		return 0, 0 <= epsilon
-	case s.Empty() || q.Empty():
-		return Inf, false
-	}
-	if epsilon < 0 {
-		return Inf, false
-	}
-	// Cheap O(1) pre-check: the first and last elements always map to each
-	// other in any warping path.
-	if base.Elem(s[0], q[0]) > epsilon || base.Elem(s[len(s)-1], q[len(q)-1]) > epsilon {
-		return Inf, false
-	}
-	if len(q) > len(s) {
-		s, q = q, s
-	}
-	switch base {
-	case seq.LInf:
-		return withinKernelLInf(s, q, epsilon)
-	case seq.L1:
-		return withinKernelAdd(s, q, false, epsilon)
-	case seq.L2Sq:
-		return withinKernelAdd(s, q, true, epsilon)
-	default:
-		return withinGeneric(s, q, base, epsilon)
-	}
-}
-
-// Within reports whether Dtw(s,q) ≤ epsilon, abandoning early when possible.
-func Within(s, q seq.Sequence, base seq.Base, epsilon float64) bool {
-	_, ok := DistanceWithin(s, q, base, epsilon)
-	return ok
+	return BandDistanceWithin(s, q, base, -1, epsilon)
 }
 
 // BandDistance computes the time warping distance restricted to a
@@ -112,11 +67,9 @@ func Within(s, q seq.Sequence, base seq.Base, epsilon float64) bool {
 // lengths are very different (steep slope) consecutive rows' band ranges
 // would otherwise be disjoint and no banded path would exist at all.
 // With that floor a banded path always exists, so BandDistance is finite
-// for any r ≥ 0 whenever both sequences are non-empty.
+// for any r ≥ 0 whenever both sequences are non-empty and finite. Like
+// Distance, it is +Inf for an input with a NaN or infinite element.
 func BandDistance(s, q seq.Sequence, base seq.Base, r int) float64 {
-	if r < 0 {
-		return Distance(s, q, base)
-	}
 	d, _ := BandDistanceWithin(s, q, base, r, Inf)
 	return d
 }
@@ -125,12 +78,10 @@ func BandDistance(s, q seq.Sequence, base seq.Base, r int) float64 {
 // (d, true) with the exact banded distance when d ≤ epsilon and (+Inf,
 // false) as soon as no cell of a band row is within epsilon (cell values
 // never decrease along a path, so no completion can come back under it).
-// The banded refine path uses this the way the unbanded one uses the
-// corridor refiner. r < 0 falls back to DistanceWithin.
+// r < 0 is the unconstrained DistanceWithin. Every distance in the package
+// but DistancePath runs through here, or, for ItakuraDistance, straight
+// into bandKernel.
 func BandDistanceWithin(s, q seq.Sequence, base seq.Base, r int, epsilon float64) (float64, bool) {
-	if r < 0 {
-		return DistanceWithin(s, q, base, epsilon)
-	}
 	switch {
 	case s.Empty() && q.Empty():
 		return 0, 0 <= epsilon
@@ -144,34 +95,16 @@ func BandDistanceWithin(s, q seq.Sequence, base seq.Base, r int, epsilon float64
 	if base.Elem(s[0], q[0]) > epsilon || base.Elem(s[len(s)-1], q[len(q)-1]) > epsilon {
 		return Inf, false
 	}
-	if len(s) == 1 || len(q) == 1 {
-		// A single row (or column) must traverse the whole other sequence;
-		// no band can constrain it.
-		return DistanceWithin(s, q, base, epsilon)
-	}
-	return bandKernel(s, q, base, r, epsilon)
-}
-
-// bandKernel is the banded DP behind BandDistance and BandDistanceWithin:
-// (d, true) with the exact banded distance d when d ≤ cutoff, else (+Inf,
-// false). Requires len(s), len(q) ≥ 2 and r ≥ 0.
-//
-// It visits only live cells. A cell is alive when its value is ≤ cutoff,
-// and each row keeps the interval from its first to its last alive cell.
-// Row i visits band cells from max(lo_i, first alive) to one past the last
-// alive (the diagonal step), then steps horizontally while cells stay
-// alive; cells outside that span have no alive predecessor. Dead
-// predecessors outside the interval stand in as +Inf, exact for the reason
-// the Refiner type comment gives. Rows are never cleared: a row reads only
-// its predecessor's interval, all of which that row wrote. A row with no
-// alive cell ends the call.
-//
-// Per base, a cell is a branch-free |x−y| (squared for L2Sq) combined by
-// max (L∞) or add with the minimum live predecessor. Values equal the dense
-// banded DP's, bit for bit on inputs without negative zeros (math.Abs and
-// the builtin min may turn a −0 the dense DP carries into +0).
-func bandKernel(s, q []float64, base seq.Base, r int, cutoff float64) (float64, bool) {
 	n, m := len(s), len(q)
+	if r < 0 || n == 1 || m == 1 {
+		// Unconstrained; a single row (or column) must traverse the whole
+		// other sequence, so no band can constrain it. The distance is
+		// symmetric, so rows run along the shorter sequence.
+		if m > n {
+			s, q, m = q, s, n
+		}
+		return bandKernel(s, q, base, func(int) (int, int) { return 0, m - 1 }, epsilon)
+	}
 	// Slope-normalize the band so corner cells stay reachable for unequal
 	// lengths: the band follows the stretched diagonal j ≈ i·(m-1)/(n-1).
 	slope := float64(m-1) / float64(n-1)
@@ -182,6 +115,39 @@ func bandKernel(s, q []float64, base seq.Base, r int, cutoff float64) (float64, 
 	if minHalf := int(math.Ceil(slope)) / 2; minHalf > r {
 		r = minHalf
 	}
+	return bandKernel(s, q, base, func(i int) (int, int) { return bandRange(i, slope, r, m) }, epsilon)
+}
+
+// bandKernel is the one time warping DP of the package: (d, true) with the
+// exact distance d when d ≤ cutoff, else (+Inf, false). rows(i) is row i's
+// admissible column range [lo, hi]: [0, m-1] for the unconstrained
+// distance, the Sakoe–Chiba band, or the Itakura parallelogram; cells
+// outside it are unreachable. A cutoff of +Inf yields the plain distance.
+//
+// It visits only live cells. A cell is alive when its value is ≤ cutoff,
+// and each row keeps the interval from its first to its last alive cell.
+// Row i visits cells from max(lo_i, first alive) to one past the last
+// alive (the diagonal step), then steps horizontally while cells stay
+// alive; cells outside that span have no alive predecessor. Dead
+// predecessors outside the interval stand in as +Inf, which is exact:
+// values never decrease along a path (max-combine for seq.LInf,
+// non-negative additions otherwise), so an alive cell's smallest
+// predecessor is itself alive, and the values of alive cells — and the
+// final distance — equal the dense DP's. Rows are never cleared: a row
+// reads only its predecessor's interval, all of which that row wrote. A
+// row with no alive cell ends the call, so a reject costs the alive
+// interval's cells, not the whole matrix (Lemire's early-abandon rule).
+//
+// Per base, a cell is a branch-free |x−y| (squared for L2Sq) combined by
+// max (L∞) or add with the minimum live predecessor, which is
+// seq.Base.Elem/Combine for every Base value. Values equal the dense DP's
+// bit for bit on inputs without negative zeros (math.Abs and the builtin
+// min may turn a −0 the dense DP carries into +0). A NaN cell is never
+// alive and the builtin min carries NaN on to every cell it feeds, so a
+// NaN element kills its whole row (or column) and the call returns
+// (+Inf, false) for every cutoff.
+func bandKernel(s, q []float64, base seq.Base, rows func(i int) (lo, hi int), cutoff float64) (float64, bool) {
+	n, m := len(s), len(q)
 	lInf, squared := base == seq.LInf, base == seq.L2Sq
 	cell := func(d, best float64) float64 { // d = s[i] - q[j]
 		d = math.Abs(d)
@@ -203,7 +169,7 @@ func bandKernel(s, q []float64, base seq.Base, r int, cutoff float64) (float64, 
 	aLo, aHi := 0, -1 // the previous row's alive interval (none before row 0)
 	for i := 0; i < n; i++ {
 		si := s[i]
-		lo, hi := bandRange(i, slope, r, m)
+		lo, hi := rows(i)
 		j := max(lo, aLo)
 		if j > min(hi, aHi+1) {
 			return Inf, false // beyond aHi+1 only a horizontal predecessor

@@ -209,11 +209,11 @@ func TestDistanceWithinEdgeCases(t *testing.T) {
 func TestWithin(t *testing.T) {
 	s := seq.Sequence{1, 2, 3}
 	q := seq.Sequence{1, 2, 4}
-	if !Within(s, q, seq.LInf, 1) {
-		t.Error("Within(s, q, 1) = false, distance is 1")
+	if d, ok := DistanceWithin(s, q, seq.LInf, 1); !ok || d != 1 {
+		t.Errorf("DistanceWithin(s, q, 1) = (%v, %v), distance is 1", d, ok)
 	}
-	if Within(s, q, seq.LInf, 0.5) {
-		t.Error("Within(s, q, 0.5) = true, distance is 1")
+	if _, ok := DistanceWithin(s, q, seq.LInf, 0.5); ok {
+		t.Error("DistanceWithin(s, q, 0.5) reported ok, distance is 1")
 	}
 }
 

@@ -89,3 +89,35 @@ func TestItakuraTighterThanChibaWideBand(t *testing.T) {
 		t.Fatalf("it=%g < full=%g", it, full)
 	}
 }
+
+// TestItakuraMatchesDense: the kernel run over the parallelogram's row
+// intervals is bit-identical to the dense DP over its legal cells, for
+// every base and every length pair up to 24, feasible ratio or not. The
+// oracle's rows come from scanning the cell-wise legality predicate, not
+// from ItakuraDistance's interval formula.
+func TestItakuraMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(113))
+	for n := 1; n <= 24; n++ {
+		for m := 1; m <= 24; m++ {
+			shape := (n + m) % 3
+			s, q := bandTestSeq(rng, n, shape), bandTestSeq(rng, m, shape)
+			rows := func(i int) (lo, hi int) {
+				lo, hi = m, -1
+				for j := 0; j < m; j++ {
+					ri, rj := n-1-i, m-1-j
+					if 2*i >= j && 2*j >= i && 2*ri >= rj && 2*rj >= ri {
+						lo, hi = min(lo, j), j
+					}
+				}
+				return lo, hi
+			}
+			for _, base := range cascadeBases {
+				want, _ := denseDP(s, q, base, rows, Inf)
+				poisonRows(m)
+				if got := ItakuraDistance(s, q, base); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("ItakuraDistance(|s|=%d, |q|=%d, %v) = %v, dense %v", n, m, base, got, want)
+				}
+			}
+		}
+	}
+}

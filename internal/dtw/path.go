@@ -59,7 +59,9 @@ func (p Path) String() string {
 
 // DistancePath computes the exact time warping distance together with one
 // optimal warping path. It keeps the full O(|S|·|Q|) DP matrix, so prefer
-// Distance when the path itself is not needed.
+// Distance when the path itself is not needed. When no path has a finite
+// cost, as with a NaN or infinite element, it returns (+Inf, nil) like
+// Distance's +Inf.
 func DistancePath(s, q seq.Sequence, base seq.Base) (float64, Path) {
 	switch {
 	case s.Empty() && q.Empty():
@@ -91,6 +93,11 @@ func DistancePath(s, q seq.Sequence, base seq.Base) (float64, Path) {
 				d[i*m+j] = base.Combine(e, best)
 			}
 		}
+	}
+	if !(at(n-1, m-1) < Inf) {
+		// NaN or +Inf: a step of the backtrack below may find no
+		// predecessor below +Inf and never move.
+		return Inf, nil
 	}
 	// Backtrack greedily toward the smallest predecessor.
 	path := make(Path, 0, n+m)

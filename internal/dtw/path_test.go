@@ -93,3 +93,23 @@ func TestPathCoversPaperExample(t *testing.T) {
 		}
 	}
 }
+
+// TestDistancePathNonFinite: with a NaN or infinite element no path has a
+// finite cost, so DistancePath reports (+Inf, nil) like Distance. Its
+// backtrack once found no predecessor below +Inf there and looped forever,
+// growing the path without bound.
+func TestDistancePathNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for pos := 0; pos < 3; pos++ {
+			s, q := seq.Sequence{0, 1, 2}, seq.Sequence{0, 1, 1, 2}
+			s[pos] = v
+			for _, base := range []seq.Base{seq.LInf, seq.L1, seq.L2Sq} {
+				for _, p := range [][2]seq.Sequence{{s, q}, {q, s}} {
+					if d, path := DistancePath(p[0], p[1], base); !math.IsInf(d, 1) || path != nil {
+						t.Fatalf("DistancePath(%v, %v, %v) = (%v, %v), want (+Inf, nil)", p[0], p[1], base, d, path)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,359 +1,41 @@
 package dtw
 
-import (
-	"sync"
-
-	"repro/internal/seq"
-)
+import "repro/internal/seq"
 
 // Verdict classifies the outcome of Refiner.DistanceWithin.
 type Verdict int
 
 const (
-	// VerdictPruned means the sparse corridor pass proved Dtw(s,q) > epsilon
-	// without completing an exact DP: the set of cells whose DP value stays
-	// within epsilon never reaches the final cell. The pass costs O(alive
-	// cells), so hopeless candidates die at a fraction of the dense DP's
-	// cost.
+	// VerdictPruned means Dtw(s,q) > epsilon. The alive interval of a DP
+	// row emptied (or a corner cell already exceeded epsilon), so no exact
+	// distance was completed; a reject costs only the interval's cells.
 	VerdictPruned Verdict = iota
 	// VerdictWithin means Dtw(s,q) ≤ epsilon; the returned distance is exact
 	// (bit-identical to DistanceWithin).
 	VerdictWithin
-	// VerdictAbandoned means a dense early-abandoning DP ran to rejection.
-	// The fused corridor pass never reports this — its rejections are
-	// corridor prunes — so it only arises on the generic fallback for bases
-	// without a corridor soundness argument.
+	// VerdictAbandoned is never returned. It is kept only so the benchmark
+	// harness's in-process twin (perfbench/mirror.go), which switches on it,
+	// keeps compiling.
 	VerdictAbandoned
 )
 
-// Refiner is the filter-and-refine DTW evaluator behind the cascade's last
-// two tiers, fused into one sparse pass over the DP matrix. A cell is alive
-// when its exact DP value is ≤ epsilon; values never decrease along a
-// warping path (max-combine for seq.LInf, non-negative additions for
-// seq.L1/seq.L2Sq), so dead cells can never lie on a qualifying path and
-// the pass visits only cells adjacent to the previous row's alive runs.
-// Dead predecessors enter the minimum as +Inf, which is exact: an alive
-// cell's smallest predecessor is itself alive (a dead minimum would push
-// the cell over epsilon), so the values of visited alive cells — and the
-// final distance of a surviving candidate — are bit-identical to the dense
-// DP's.
-//
-// The two tiers of the old split design remain visible in the verdict: a
-// candidate whose alive region dies before the final cell is "corridor
-// pruned" (no DP completed; for rejects the pass does reachability work,
-// not a full evaluation), while a survivor's verdict carries the exact
-// distance with no second pass over the matrix.
-//
-// A Refiner owns pooled run buffers; acquire one per query with
-// AcquireRefiner, use it for every candidate, and Release it when the query
-// completes. A Refiner is not safe for concurrent use.
-type Refiner struct {
-	runs  []int32 // one row's alive [start,end) column pairs
-	runs2 []int32 // the adjacent row's pairs (buffers swap per row)
-}
+// Refiner is DistanceWithin with its outcome reported as a Verdict, so a
+// caller can count rejects apart from completed distances. It holds no
+// state: AcquireRefiner and Release remain for the callers that pool one
+// per query.
+type Refiner struct{}
 
-var refinerPool = sync.Pool{New: func() any { return &Refiner{} }}
+// AcquireRefiner returns a Refiner.
+func AcquireRefiner() *Refiner { return &Refiner{} }
 
-// AcquireRefiner returns a pooled Refiner.
-func AcquireRefiner() *Refiner { return refinerPool.Get().(*Refiner) }
+// Release is a no-op.
+func (*Refiner) Release() {}
 
-// Release returns the Refiner (and its buffers) to the pool.
-func (r *Refiner) Release() { refinerPool.Put(r) }
-
-// DistanceWithin is DistanceWithin with the sparse corridor fused in: it
-// returns the same (distance, within) outcome — VerdictWithin carries the
-// bit-identical exact distance, VerdictPruned/VerdictAbandoned correspond
-// to (+Inf, false) — plus which mechanism decided, so callers can account
-// corridor dismissals separately from completed DP evaluations.
-func (r *Refiner) DistanceWithin(s, q seq.Sequence, base seq.Base, epsilon float64) (float64, Verdict) {
-	switch {
-	case s.Empty() && q.Empty():
-		if 0 <= epsilon {
-			return 0, VerdictWithin
-		}
-		return Inf, VerdictPruned
-	case s.Empty() || q.Empty():
-		return Inf, VerdictPruned
+// DistanceWithin returns (d, VerdictWithin) with the exact distance d when
+// DistanceWithin(s, q, base, epsilon) holds, else (+Inf, VerdictPruned).
+func (*Refiner) DistanceWithin(s, q seq.Sequence, base seq.Base, epsilon float64) (float64, Verdict) {
+	if d, ok := DistanceWithin(s, q, base, epsilon); ok {
+		return d, VerdictWithin
 	}
-	if epsilon < 0 {
-		return Inf, VerdictPruned
-	}
-	// The O(1) endpoint check is the corridor's first/last-cell test.
-	if base.Elem(s[0], q[0]) > epsilon || base.Elem(s[len(s)-1], q[len(q)-1]) > epsilon {
-		return Inf, VerdictPruned
-	}
-	if len(q) > len(s) {
-		s, q = q, s
-	}
-	var (
-		d  float64
-		ok bool
-	)
-	switch base {
-	case seq.LInf:
-		d, ok = r.fusedLInf(s, q, epsilon)
-	case seq.L1:
-		d, ok = r.fusedAdd(s, q, false, epsilon)
-	case seq.L2Sq:
-		d, ok = r.fusedAdd(s, q, true, epsilon)
-	default:
-		// No corridor soundness argument on file for future bases: run the
-		// plain early-abandoning DP.
-		if d, ok := withinGeneric(s, q, base, epsilon); ok {
-			return d, VerdictWithin
-		}
-		return Inf, VerdictAbandoned
-	}
-	if !ok {
-		return Inf, VerdictPruned
-	}
-	return d, VerdictWithin
-}
-
-// fusedLInf runs the sparse alive-run DP under the L∞ (max) combine.
-// Requires len(q) <= len(s), non-empty inputs, and a passing endpoint
-// check. Reports (exact distance, true) when Dtw ≤ epsilon.
-func (r *Refiner) fusedLInf(s, q []float64, epsilon float64) (float64, bool) {
-	n, m := len(s), len(q)
-	rp := acquireRows(m)
-	defer releaseRows(rp)
-	prev, cur := rp.prev, rp.cur
-	pruns, cruns := r.runs[:0], r.runs2[:0]
-
-	// Row 0 is a single combine chain, so its values never decrease and the
-	// alive set is a prefix (non-empty: the endpoint check passed cell 0).
-	s0 := s[0]
-	v := s0 - q[0]
-	if v < 0 {
-		v = -v
-	}
-	prev[0] = v
-	e0 := 1
-	for ; e0 < m; e0++ {
-		e := s0 - q[e0]
-		if e < 0 {
-			e = -e
-		}
-		if prev[e0-1] > e {
-			e = prev[e0-1]
-		}
-		if e > epsilon {
-			break
-		}
-		prev[e0] = e
-	}
-	pruns = append(pruns, 0, int32(e0))
-
-	for i := 1; i < n; i++ {
-		si := s[i]
-		cruns = cruns[:0]
-		inRun := false
-		j := 0
-		for p := 0; p < len(pruns); p += 2 {
-			lo, hi0 := int(pruns[p]), int(pruns[p+1])
-			// Seeds: the run's columns plus one diagonal step.
-			hi := hi0 + 1
-			if hi > m {
-				hi = m
-			}
-			if j < lo {
-				j = lo // the fill (if any) died before this segment
-			}
-			for ; j < hi; j++ {
-				// Membership is segment-local: vertical for the run's own
-				// columns, diagonal shifted one right, horizontal only while
-				// the current run is open. Dead predecessors stand in as
-				// +Inf (exact: see the type comment).
-				best := Inf
-				if j < hi0 {
-					best = prev[j]
-				}
-				if j > lo && j <= hi0 && prev[j-1] < best {
-					best = prev[j-1]
-				}
-				if inRun && cur[j-1] < best {
-					best = cur[j-1]
-				}
-				e := si - q[j]
-				if e < 0 {
-					e = -e
-				}
-				if best > e {
-					e = best
-				}
-				cur[j] = e
-				if e <= epsilon {
-					if !inRun {
-						cruns = append(cruns, int32(j))
-						inRun = true
-					}
-				} else if inRun {
-					cruns = append(cruns, int32(j))
-					inRun = false
-				}
-			}
-			// Beyond the seeds only a horizontal fill extends the run — but
-			// never into the next segment's columns, whose cells have alive
-			// vertical/diagonal predecessors the fill would ignore.
-			stop := m
-			if p+2 < len(pruns) {
-				stop = int(pruns[p+2])
-			}
-			for inRun && j < stop {
-				e := si - q[j]
-				if e < 0 {
-					e = -e
-				}
-				if cur[j-1] > e {
-					e = cur[j-1]
-				}
-				if e > epsilon {
-					cruns = append(cruns, int32(j))
-					inRun = false
-					break
-				}
-				cur[j] = e
-				j++
-			}
-		}
-		if inRun {
-			cruns = append(cruns, int32(m))
-		}
-		if len(cruns) == 0 {
-			r.runs, r.runs2 = pruns, cruns
-			return Inf, false // whole row dead: no completion possible
-		}
-		prev, cur = cur, prev
-		pruns, cruns = cruns, pruns
-	}
-	alive := int(pruns[len(pruns)-1]) == m
-	d := prev[m-1]
-	r.runs, r.runs2 = pruns, cruns
-	if !alive {
-		return Inf, false
-	}
-	return d, true
-}
-
-// fusedAdd is fusedLInf under an additive combine; squared selects the
-// seq.L2Sq element cost. Cumulative sums make the alive predicate stronger
-// than any per-element test, so the corridor here prunes everything the old
-// element-wise corridor did and more — including candidates the dense DP
-// would only reject after a full evaluation.
-func (r *Refiner) fusedAdd(s, q []float64, squared bool, epsilon float64) (float64, bool) {
-	n, m := len(s), len(q)
-	rp := acquireRows(m)
-	defer releaseRows(rp)
-	prev, cur := rp.prev, rp.cur
-	pruns, cruns := r.runs[:0], r.runs2[:0]
-
-	s0 := s[0]
-	v := s0 - q[0]
-	if v < 0 {
-		v = -v
-	}
-	if squared {
-		v = v * v
-	}
-	prev[0] = v
-	e0 := 1
-	for ; e0 < m; e0++ {
-		e := s0 - q[e0]
-		if e < 0 {
-			e = -e
-		}
-		if squared {
-			e = e * e
-		}
-		e += prev[e0-1]
-		if e > epsilon {
-			break
-		}
-		prev[e0] = e
-	}
-	pruns = append(pruns, 0, int32(e0))
-
-	for i := 1; i < n; i++ {
-		si := s[i]
-		cruns = cruns[:0]
-		inRun := false
-		j := 0
-		for p := 0; p < len(pruns); p += 2 {
-			lo, hi0 := int(pruns[p]), int(pruns[p+1])
-			hi := hi0 + 1
-			if hi > m {
-				hi = m
-			}
-			if j < lo {
-				j = lo
-			}
-			for ; j < hi; j++ {
-				best := Inf
-				if j < hi0 {
-					best = prev[j]
-				}
-				if j > lo && j <= hi0 && prev[j-1] < best {
-					best = prev[j-1]
-				}
-				if inRun && cur[j-1] < best {
-					best = cur[j-1]
-				}
-				e := si - q[j]
-				if e < 0 {
-					e = -e
-				}
-				if squared {
-					e = e * e
-				}
-				e += best
-				cur[j] = e
-				if e <= epsilon {
-					if !inRun {
-						cruns = append(cruns, int32(j))
-						inRun = true
-					}
-				} else if inRun {
-					cruns = append(cruns, int32(j))
-					inRun = false
-				}
-			}
-			stop := m
-			if p+2 < len(pruns) {
-				stop = int(pruns[p+2])
-			}
-			for inRun && j < stop {
-				e := si - q[j]
-				if e < 0 {
-					e = -e
-				}
-				if squared {
-					e = e * e
-				}
-				e += cur[j-1]
-				if e > epsilon {
-					cruns = append(cruns, int32(j))
-					inRun = false
-					break
-				}
-				cur[j] = e
-				j++
-			}
-		}
-		if inRun {
-			cruns = append(cruns, int32(m))
-		}
-		if len(cruns) == 0 {
-			r.runs, r.runs2 = pruns, cruns
-			return Inf, false
-		}
-		prev, cur = cur, prev
-		pruns, cruns = cruns, pruns
-	}
-	alive := int(pruns[len(pruns)-1]) == m
-	d := prev[m-1]
-	r.runs, r.runs2 = pruns, cruns
-	if !alive {
-		return Inf, false
-	}
-	return d, true
+	return Inf, VerdictPruned
 }

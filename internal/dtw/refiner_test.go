@@ -10,33 +10,32 @@ import (
 
 var cascadeBases = []seq.Base{seq.LInf, seq.L1, seq.L2Sq}
 
-// TestKernelsMatchGeneric pins the per-base specialized kernels to the
-// generic interface-style DP bit for bit, across random mixed-length pairs.
+// TestKernelsMatchGeneric pins Distance and DistanceWithin to the dense
+// oracles bit for bit, across random mixed-length pairs in both argument
+// orders: the dense unconstrained DP for values and verdicts, and the
+// paper's recursive definition (refDistance) for the verdict at cutoffs
+// straddling the distance.
 func TestKernelsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, base := range cascadeBases {
 		for trial := 0; trial < 300; trial++ {
 			s := randSeq(rng, 40)
 			q := randSeq(rng, 40)
-			if len(q) > len(s) {
-				s, q = q, s
-			}
-			want := distanceGeneric(s, q, base)
-			got := Distance(s, q, base)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("base %v: Distance=%v generic=%v", base, got, want)
+			want := bandDistanceDense(s, q, base, -1)
+			for _, p := range [][2]seq.Sequence{{s, q}, {q, s}} {
+				if got := Distance(p[0], p[1], base); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("base %v: Distance=%v dense=%v", base, got, want)
+				}
 			}
 			d := refDistance(s, q, base)
+			if math.Abs(d-want) > 1e-9*math.Max(1, d) {
+				t.Fatalf("base %v: dense DP %v, recursive definition %v", base, want, d)
+			}
 			for _, eps := range []float64{d * 0.5, d * 0.99, d, d * 1.01, d * 2, rng.Float64() * 10} {
-				wd, wok := withinGeneric(s, q, base, eps)
+				wd, wok := bandDistanceWithinDense(s, q, base, -1, eps)
 				gd, gok := DistanceWithin(s, q, base, eps)
-				if gok != wok {
-					// The exported function adds the O(1) endpoint
-					// pre-check; both must still agree on the verdict.
-					t.Fatalf("base %v eps=%v: within ok %v vs generic %v", base, eps, gok, wok)
-				}
-				if wok && math.Float64bits(gd) != math.Float64bits(wd) {
-					t.Fatalf("base %v eps=%v: within d=%v generic=%v", base, eps, gd, wd)
+				if gok != wok || math.Float64bits(gd) != math.Float64bits(wd) {
+					t.Fatalf("base %v eps=%v: DistanceWithin (%v, %v), dense (%v, %v)", base, eps, gd, gok, wd, wok)
 				}
 			}
 		}
@@ -170,7 +169,7 @@ func TestGlobalEnvelopeMatchesYiSide(t *testing.T) {
 }
 
 func warmPools(s, q seq.Sequence) {
-	// First calls grow pool buffers and the refiner's run storage.
+	// First calls grow the pooled DP rows.
 	for i := 0; i < 4; i++ {
 		Distance(s, q, seq.LInf)
 		DistanceWithin(s, q, seq.L1, 1)
@@ -210,7 +209,7 @@ func TestDistanceWithinZeroAllocs(t *testing.T) {
 }
 
 // TestRefinerZeroAllocs: a warmed Refiner must evaluate candidates without
-// allocating — the cascade holds one per query across all candidates.
+// allocating — a caller holds one per query across all candidates.
 func TestRefinerZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes pool operations allocate")
@@ -229,7 +228,7 @@ func TestRefinerZeroAllocs(t *testing.T) {
 	defer r.Release()
 	for _, base := range cascadeBases {
 		base := base
-		r.DistanceWithin(s, q, base, 0.35) // grow run storage for this shape
+		r.DistanceWithin(s, q, base, 0.35)
 		if n := testing.AllocsPerRun(100, func() {
 			r.DistanceWithin(s, q, base, 0.35)
 		}); n != 0 {

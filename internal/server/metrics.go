@@ -73,7 +73,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.CounterFunc("twsim_lb_keogh_pruned_total", "", "Candidates dismissed by cascade Tier 1a (LB_Keogh envelope bound).", counterOf(&s.totals.lbKeoghPruned))
 	reg.CounterFunc("twsim_lb_yi_pruned_total", "", "Candidates dismissed by cascade Tier 1b (two-sided Yi bound).", counterOf(&s.totals.lbYiPruned))
 	reg.CounterFunc("twsim_lb_improved_pruned_total", "", "Candidates dismissed by cascade Tier 1c (Lemire's LB_Improved second pass; banded queries only).", counterOf(&s.totals.lbImprovedPruned))
-	reg.CounterFunc("twsim_corridor_pruned_total", "", "Candidates dismissed by cascade Tiers 2-3 (sparse corridor DP).", counterOf(&s.totals.corridorPruned))
+	reg.CounterFunc("twsim_corridor_pruned_total", "", "Candidates dismissed by cascade Tiers 2-3 (sparse early-abandoning DP, unbanded queries).", counterOf(&s.totals.corridorPruned))
 	reg.CounterFunc("twsim_knn_frontier_repushes_total", "", "k-NN candidates re-entering the walk frontier with an envelope-sharpened priority.", counterOf(&s.totals.knnRepushes))
 	reg.CounterFunc("twsim_knn_envelope_cutoffs_total", "", "k-NN walks stopped on an envelope-raised key (the ordering tier ended the walk early).", counterOf(&s.totals.knnEnvCutoffs))
 

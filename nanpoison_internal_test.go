@@ -39,57 +39,49 @@ func poisonDB(t *testing.T) (*DB, ID) {
 // the paper's Theorem 1 equivalence broken without any error surfacing.
 //
 // The witness: store S = [NaN, 1] and query Q = [1]. NaN loses every
-// ordered comparison, so it slips through the max-style recurrences as if
-// it were −∞: the exact L∞ DTW kernel drops the NaN path cost and
-// evaluates Dtw(S, Q) to the finite value 0, and the index + refine path
-// agrees, reporting S as a distance-0 match. The early-abandoning kernel
-// the sequential-scan baseline uses reaches the opposite verdict — in its
-// DP row for the NaN element no cell can test ≤ ε, so the row looks dead
-// and S is abandoned (NaN acting like +∞ this time). Same database, same
-// query, same ε: one exact method returns S, the other silently does not.
+// ordered comparison, and the seed's DP loops disagreed on what that
+// meant. The exact L∞ kernel let NaN drop out of its max/min comparisons
+// and evaluated Dtw(S, Q) to 0, so the index + refine path reported S as a
+// distance-0 match; the early-abandoning kernel the sequential-scan
+// baseline used found no cell ≤ ε in the NaN row and dismissed S. Same
+// database, same query, same ε: one exact method returned S, the other
+// silently did not.
 //
-// With the fix, that state is unreachable through the public API (Add and
-// friends return ErrNonFinite; see TestNonFiniteRejected) and — should it
-// arise anyway via on-disk corruption — Verify and CheckInvariants both
-// flag it instead of staying silent.
+// Two fixes close it. The state is unreachable through the public API
+// (Add and friends return ErrNonFinite; see TestNonFiniteRejected), and
+// should it arise anyway via on-disk corruption, Verify and
+// CheckInvariants both flag it. And every distance now runs one DP kernel
+// in which a NaN element makes the distance +Inf (TestDistanceNonFinite),
+// so the exact distance, the index search and the scan agree that S is
+// no match.
 func TestNaNPoisonDivergence(t *testing.T) {
 	db, id := poisonDB(t)
 	q := []float64{1}
 	const eps = 0.5
 
-	// The system's own exact distance says S is a match at distance 0,
-	// and the index-filtered search duly returns it.
 	d, err := db.Distance(id, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != 0 {
-		t.Fatalf("exact Dtw = %g for the poisoned pair, want 0; the witness no longer exercises the bug", d)
+	if !math.IsInf(d, 1) {
+		t.Fatalf("exact Dtw = %g for the poisoned pair, want +Inf", d)
 	}
-	res, err := db.Search(q, eps)
-	if err != nil {
-		t.Fatal(err)
+	searches := []struct {
+		name   string
+		search func([]float64, float64) (*Result, error)
+	}{
+		{"index", db.Search},
+		{"naive scan", db.BaselineNaiveScan().Search},
 	}
-	foundIndex := false
-	for _, m := range res.Matches {
-		if m.ID == id {
-			foundIndex = true
+	for _, s := range searches {
+		res, err := s.search(q, eps)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !foundIndex {
-		t.Fatal("index search dismissed the poisoned sequence; the divergence now runs the other way — update this test's direction, not its existence")
-	}
-
-	// The sequential-scan baseline — an exact method by contract —
-	// silently dismisses the very same match: no error, just a different
-	// answer than Search gave for identical inputs.
-	naive, err := db.BaselineNaiveScan().Search(q, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range naive.Matches {
-		if m.ID == id {
-			t.Fatalf("naive scan matched the poisoned sequence (%+v) — the exact and abandoning kernels now agree on NaN; update this test", m)
+		for _, m := range res.Matches {
+			if m.ID == id {
+				t.Fatalf("%s matched the poisoned sequence (%+v)", s.name, m)
+			}
 		}
 	}
 

@@ -121,3 +121,37 @@ func TestNonFiniteRejectedSingleOnly(t *testing.T) {
 		})
 	}
 }
+
+// TestDistanceNonFinite pins the contract of the standalone distance
+// functions on non-finite input: every warping path visits every element,
+// so a NaN or ±Inf anywhere leaves no path with a finite cost. Distance
+// and BandDistance return +Inf and DistanceWithin reports (+Inf, false) at
+// any finite tolerance — for NaN at the first, a middle and the last
+// element, on either side, under every base. (NaN once slipped through the
+// DP's min comparisons and made Distance report a perfect match of 0
+// while DistanceWithin rejected the same pair.)
+func TestDistanceNonFinite(t *testing.T) {
+	clean := []float64{0, 1, 2}
+	for _, p := range poisons {
+		for pos := range clean {
+			bad := append([]float64(nil), 0, 1, 2)
+			bad[pos] = p.v
+			for _, base := range []twsim.Base{twsim.BaseLInf, twsim.BaseL1, twsim.BaseL2Sq} {
+				for _, pair := range [][2][]float64{{bad, clean}, {clean, bad}} {
+					s, q := pair[0], pair[1]
+					if d := twsim.Distance(s, q, base); !math.IsInf(d, 1) {
+						t.Errorf("Distance(%v, %v, %v) = %v, want +Inf", s, q, base, d)
+					}
+					if d, ok := twsim.DistanceWithin(s, q, base, 5); ok || !math.IsInf(d, 1) {
+						t.Errorf("DistanceWithin(%v, %v, %v, 5) = (%v, %v), want (+Inf, false)", s, q, base, d, ok)
+					}
+					for _, r := range []int{-1, 0, 2} {
+						if d := twsim.BandDistance(s, q, base, r); !math.IsInf(d, 1) {
+							t.Errorf("BandDistance(%v, %v, %v, r=%d) = %v, want +Inf", s, q, base, r, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
