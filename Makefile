@@ -1,31 +1,23 @@
 GO ?= go
 
-.PHONY: ci fmt vet perfbench-vet build test race test-no-mmap fuzz-smoke metrics-smoke bench-shards bench-shards-smoke bench-cascade bench-cascade-smoke bench-refine bench-refine-smoke bench-flat bench-flat-smoke bench-knn bench-knn-smoke bench-cache bench-cache-smoke bench-wal bench-wal-smoke crash-tests
+.PHONY: ci fmt vet perfbench-vet build test race fuzz-smoke metrics-smoke bench-shards bench-shards-smoke bench-cascade bench-cascade-smoke bench-refine bench-refine-smoke bench-knn bench-knn-smoke bench-cache bench-cache-smoke bench-wal bench-wal-smoke crash-tests
 
 # Full gate: formatting, static checks (including the nested perfbench
 # module, which the root ./... patterns skip), build, the whole test suite
 # (including the fault-injection recovery tests) under the race detector,
-# the flat-engine suite re-run with mmap disabled (the eager-read fallback
-# must behave identically), a short fuzz pass over the envelope/lower-bound
-# oracles and the mmap snapshot reader, the observability smoke (boots
-# twsimd, scrapes /metrics, validates the exposition), and short benchmark
-# smokes for the sharded engine, the refine cascade (including the banded
-# leg with its brute-force banded oracle), intra-query parallel refinement,
-# the flat-vs-Guttman index engine comparison (bit-identity + zero-alloc
-# walk), the envelope-ordered k-NN harness (ordering on/off bit-identity +
+# a short fuzz pass over the envelope/lower-bound oracles and the network
+# and sidecar decoders, the observability smoke (boots twsimd, scrapes
+# /metrics, validates the exposition), and short benchmark smokes for the
+# sharded engine, the refine cascade (including the banded leg with its
+# brute-force banded oracle), intra-query parallel refinement, the
+# envelope-ordered k-NN harness (ordering on/off bit-identity +
 # conservation law), and the result-cache/serving-under-load harness
 # (zero-work hit path, cached-vs-uncached bit-identity under interleaved
 # writes, real 429 shedding through an HTTP server), the WAL crash-simulation
 # suite (torn tail, corrupt middle record, duplicate replay — each recovered
 # state compared record-for-record against a never-crashed database), and the
 # WAL write-path smoke with its kill-and-reopen acked-loss check.
-ci: fmt vet perfbench-vet build race test-no-mmap fuzz-smoke metrics-smoke bench-shards-smoke bench-cascade-smoke bench-refine-smoke bench-flat-smoke bench-knn-smoke bench-cache-smoke crash-tests bench-wal-smoke
-
-# The flat-engine packages once more with TWSIM_NO_MMAP=1: every snapshot
-# open goes through the eager read-and-checksum fallback instead of the
-# mmap path, so both Load flavors stay green on every CI run.
-test-no-mmap:
-	TWSIM_NO_MMAP=1 $(GO) test ./internal/flatidx ./internal/core .
+ci: fmt vet perfbench-vet build race fuzz-smoke metrics-smoke bench-shards-smoke bench-cascade-smoke bench-refine-smoke bench-knn-smoke bench-cache-smoke crash-tests bench-wal-smoke
 
 # Short coverage-guided fuzz passes over the ordering oracles: the deque
 # envelope vs the quadratic reference, the lower-bound chain
@@ -33,18 +25,15 @@ test-no-mmap:
 # the one sparse DP kernel vs the dense DP (bit-identical; each fuzzed pair
 # runs under its band and unconstrained in both argument orders), the
 # envelope sidecar decoder (CRC-valid hostile sidecars must be rejected or
-# load without panicking), the flat-slab codec, the mmap snapshot loader (hostile files must
-# error out or load into an index that walks without faulting), and the two
-# replica decoders — snapshot and WAL-tail bytes arrive from the network and
-# must either be rejected or apply to a replica that still passes Verify.
+# load without panicking), and the two replica decoders — snapshot and
+# WAL-tail bytes arrive from the network and must either be rejected or
+# apply to a replica that still passes Verify.
 # Go permits one fuzz target per -fuzz run, so each gets its own pass.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzEnvelopeDeque$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzBandedBoundChain$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzBandKernel$$' -fuzztime=5s ./internal/dtw
 	$(GO) test -run=^$$ -fuzz='^FuzzLoadEnvStore$$' -fuzztime=5s ./internal/core
-	$(GO) test -run=^$$ -fuzz='^FuzzSlabRoundtrip$$' -fuzztime=5s ./internal/flatidx
-	$(GO) test -run=^$$ -fuzz='^FuzzMmapLoad$$' -fuzztime=5s ./internal/flatidx
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeReplSnapshot$$' -fuzztime=5s .
 	$(GO) test -run=^$$ -fuzz='^FuzzParseWALRecords$$' -fuzztime=5s .
 
@@ -110,23 +99,11 @@ bench-refine:
 bench-refine-smoke:
 	$(GO) run ./cmd/benchrefine -smoke >/dev/null
 
-# Flat-engine vs Guttman R-tree: raw filter-walk ns/op (with the 1.3x
-# speedup fence and the zero-allocation steady-state check) plus end-to-end
-# qps per engine at GOMAXPROCS=1 and full width, with bit-identity between
-# engines enforced; writes BENCH_flat.json.
-bench-flat:
-	$(GO) run ./cmd/benchflat
-
-# Tiny workload, no output file; keeps the alloc check and bit-identity
-# verification, relaxes the speedup fence (smoke sizes are noise-bound).
-bench-flat-smoke:
-	$(GO) run ./cmd/benchflat -smoke >/dev/null
-
 # Envelope-ordered k-NN: exact DTW calls, frontier pushes/re-pushes, and
-# qps for k in {1,10,100} x engines {guttman,flat} x bands {0,8}, ordering
-# on vs off, with on/off bit-identity and the conservation law enforced on
-# every row; writes BENCH_knn.json. Full mode fails unless ordering cuts
-# exact DTW calls by >= 30% at k=10 band=8 on both engines.
+# qps for k in {1,10,100} x bands {0,8}, ordering on vs off, with on/off
+# bit-identity and the conservation law enforced on every row; writes
+# BENCH_knn.json. Full mode fails unless ordering cuts exact DTW calls by
+# >= 30% at k=10 band=8.
 bench-knn:
 	$(GO) run ./cmd/benchknn
 

@@ -58,10 +58,6 @@ type Backend interface {
 	// StorageStats snapshots the buffer pool and decoded-sequence cache
 	// counters (summed over shards for a sharded backend).
 	StorageStats() StorageStats
-	// IndexEngineStats reports which feature-index engine backs the store
-	// and, for the flat engine, its snapshot/delta counters (summed over
-	// shards for a sharded backend).
-	IndexEngineStats() core.IndexEngineStats
 	// OpenDiagnostics returns the human-readable notes recorded while
 	// opening the database (rebuild-on-open, reconciliation, sidecar
 	// rebuilds). Empty for a clean open.

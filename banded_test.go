@@ -2,6 +2,8 @@ package twsim_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,11 +15,18 @@ import (
 
 // bandedBrute is the no-false-dismissal oracle for the banded query mode: a
 // linear scan computing the exact banded distance for every live sequence,
-// sorted the way Search reports matches (distance, then ID).
+// sorted the way Search reports matches (distance, then ID). Band 0 scans
+// with the unconstrained distance, as a band-0 query answers.
 func bandedBrute(data [][]float64, ids []twsim.ID, q []float64, base twsim.Base, eps float64, band int) []twsim.Match {
 	var out []twsim.Match
 	for i, s := range data {
-		if d := twsim.BandDistance(s, q, base, band); d <= eps {
+		var d float64
+		if band >= 1 {
+			d = twsim.BandDistance(s, q, base, band)
+		} else {
+			d = twsim.Distance(s, q, base)
+		}
+		if d <= eps {
 			out = append(out, twsim.Match{ID: ids[i], Dist: d})
 		}
 	}
@@ -152,6 +161,140 @@ func TestNearestKBandMatchesBruteForce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestChurnMatchesBruteForce: Search, NearestK and SearchBatchCtx stay
+// bit-identical to a brute-force scan of the live sequences through a
+// lifecycle of bulk load, a second batch, and interleaved removes — across
+// all three bases, both backends (DB and ShardedDB), serial and parallel
+// refinement, and unbanded plus banded queries. Every range answer must
+// also satisfy the conservation law, and the database must pass Verify.
+func TestChurnMatchesBruteForce(t *testing.T) {
+	bases := map[string]twsim.Base{"linf": twsim.BaseLInf, "l1": twsim.BaseL1, "l2sq": twsim.BaseL2Sq}
+	data := randomWalks(4243, 130, 12, 40)
+	extra := randomWalks(4244, 60, 12, 40)
+	for name, base := range bases {
+		for _, sharded := range []bool{false, true} {
+			for _, workers := range []int{1, 4} {
+				for _, band := range []int{0, 8} {
+					label := fmt.Sprintf("%s/%s/workers%d/band%d",
+						name, map[bool]string{false: "db", true: "sharded"}[sharded], workers, band)
+					t.Run(label, func(t *testing.T) {
+						opts := twsim.Options{Base: base, RefineWorkers: workers, Band: band}
+						var db queryDB
+						var err error
+						if sharded {
+							db, err = twsim.OpenMemSharded(twsim.ShardedOptions{Options: opts, Shards: 3})
+						} else {
+							db, err = twsim.OpenMem(opts)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer db.Close()
+
+						ids, err := db.AddBatch(data)
+						if err != nil {
+							t.Fatal(err)
+						}
+						live := map[twsim.ID][]float64{}
+						for i, id := range ids {
+							live[id] = data[i]
+						}
+						rng := rand.New(rand.NewSource(99))
+						checkBrute(t, db, live, base, band, rng, data)
+
+						extraIDs, err := db.AddBatch(extra)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, id := range extraIDs {
+							live[id] = extra[i]
+						}
+						for i := 0; i < 25; i++ {
+							id := extraIDs[rng.Intn(len(extraIDs))]
+							if _, err := db.Remove(id); err != nil {
+								t.Fatal(err)
+							}
+							delete(live, id)
+						}
+						checkBrute(t, db, live, base, band, rng, append(append([][]float64(nil), data...), extra...))
+
+						if got := db.Len(); got != len(live) {
+							t.Fatalf("Len = %d, want %d", got, len(live))
+						}
+						if err := db.Verify(); err != nil {
+							t.Fatalf("Verify: %v", err)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// checkBrute runs Search, NearestK and SearchBatchCtx on db and demands
+// bit-identical matches (same IDs, same float64 distances, same order) to
+// a brute-force scan over live, the database's live sequences by ID.
+// Queries are perturbed copies of pool entries.
+func checkBrute(t *testing.T, db queryDB, live map[twsim.ID][]float64, base twsim.Base, band int, rng *rand.Rand, pool [][]float64) {
+	t.Helper()
+	var seqs [][]float64
+	var ids []twsim.ID
+	for id, s := range live {
+		ids = append(ids, id)
+		seqs = append(seqs, s)
+	}
+	for trial := 0; trial < 6; trial++ {
+		q := append([]float64(nil), pool[rng.Intn(len(pool))]...)
+		for i := range q {
+			q[i] += (rng.Float64() - 0.5) * 0.1
+		}
+		eps := 0.1 + rng.Float64()*0.7
+
+		r, err := db.Search(q, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bandedBrute(seqs, ids, q, base, eps, band); !matchesEqual(r.Matches, want) {
+			t.Fatalf("trial %d eps=%g: Search %d matches, brute force %d", trial, eps, len(r.Matches), len(want))
+		}
+		st := r.Stats
+		pruned := st.LBKimPruned + st.LBPAAPruned + st.LBKeoghPruned +
+			st.LBYiPruned + st.LBImprovedPruned + st.CorridorPruned
+		if st.Candidates != pruned+st.DTWCalls {
+			t.Fatalf("trial %d: conservation law broken: candidates=%d pruned=%d dtw=%d",
+				trial, st.Candidates, pruned, st.DTWCalls)
+		}
+
+		k := 1 + rng.Intn(8)
+		got, err := db.NearestK(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bandedBrute(seqs, ids, q, base, math.Inf(1), band)
+		if len(want) > k {
+			want = want[:k]
+		}
+		if !matchesEqual(got, want) {
+			t.Fatalf("trial %d k=%d: NearestK %v, brute force %v", trial, k, got, want)
+		}
+	}
+
+	batch := make([][]float64, 5)
+	for i := range batch {
+		batch[i] = pool[rng.Intn(len(pool))]
+	}
+	const eps = 0.4
+	rs, err := db.SearchBatchCtx(bg, batch, eps, db.DefaultBand(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		if want := bandedBrute(seqs, ids, batch[i], base, eps, band); !matchesEqual(r.Matches, want) {
+			t.Fatalf("SearchBatchCtx query %d: %d matches, brute force %d", i, len(r.Matches), len(want))
+		}
 	}
 }
 

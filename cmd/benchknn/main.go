@@ -1,6 +1,5 @@
 // Command benchknn measures the envelope-sharpened k-NN walk: for every
-// combination of engine {guttman, flat}, k {1, 10, 100}, and band {0, 8}
-// it runs the same fixed-seed query set twice — once with the two-level
+// combination of k {1, 10, 100} and band {0, 8} it runs the same fixed-seed query set twice — once with the two-level
 // frontier re-keying candidates by max(index mindist, LB_PAA) and once
 // with ordering disabled — and records exact DTW calls, frontier pushes,
 // re-pushes, envelope cutoffs, and throughput, writing the results as
@@ -25,7 +24,7 @@
 //
 //   - Fence (full mode, banded rows): at k=10 band=8 — where LB_PAA is
 //     sharpest — the ordering-on leg must make at least 30% fewer exact
-//     DTW calls than the ordering-off leg on BOTH engines. That fence is
+//     DTW calls than the ordering-off leg. That fence is
 //     the reduction the two-level frontier exists to hold. The unbanded
 //     LB_PAA bound is much weaker (it envelopes the query with its global
 //     range), so band=0 rows are reported but not fenced.
@@ -51,7 +50,6 @@ import (
 )
 
 type row struct {
-	Engine         string  `json:"engine"`
 	Ordering       bool    `json:"env_ordering"`
 	K              int     `json:"k"`
 	Band           int     `json:"band"`
@@ -69,7 +67,6 @@ type row struct {
 }
 
 type fenceRow struct {
-	Engine       string  `json:"engine"`
 	K            int     `json:"k"`
 	Band         int     `json:"band"`
 	DTWOn        int     `json:"dtw_calls_ordering_on"`
@@ -127,73 +124,68 @@ func main() {
 		Smoke:      *smoke,
 	}
 
-	// dtwAt[engine][k][band][ordering] for the fence section.
+	// dtwAt[k][band][ordering] for the fence section.
 	type legKey struct {
-		engine   string
 		k, band  int
 		ordering bool
 	}
 	dtwAt := map[legKey]int{}
 
-	for _, engine := range []string{twsim.EngineGuttman, twsim.EngineFlat} {
-		// Two databases per engine over identical data: the ordering-off
-		// one is the control every ordering-on row is verified against.
-		dbOn := openDB(engine, false, values)
-		dbOff := openDB(engine, true, values)
-		for _, k := range ks {
-			for _, band := range []int{0, 8} {
-				oracle := runMatches(dbOff, queryVals, k, band)
-				for _, procs := range procsList() {
-					for _, ordering := range []bool{false, true} {
-						db := dbOff
-						if ordering {
-							db = dbOn
-						}
-						r, matches, err := runLeg(db, engine, ordering, queryVals, k, band, procs)
-						if err != nil {
-							log.Fatalf("benchknn: engine=%s ordering=%v k=%d band=%d: %v", engine, ordering, k, band, err)
-						}
-						if err := compareMatches(oracle, matches); err != nil {
-							log.Fatalf("benchknn: engine=%s k=%d band=%d: ordering=%v diverged from ordering-off oracle: %v",
-								engine, k, band, ordering, err)
-						}
-						rep.Rows = append(rep.Rows, r)
-						if procs == 1 {
-							dtwAt[legKey{engine, k, band, ordering}] = r.DTWCalls
-						}
-						log.Printf("engine=%s ordering=%-5v k=%-3d band=%d procs=%d: %.1f q/s, %d DTW calls, %d pushes, %d repushes, %d env cutoffs",
-							engine, ordering, k, band, procs, r.QPS, r.DTWCalls, r.FrontierPushes, r.Repushes, r.EnvCutoffs)
+	// Two databases over identical data: the ordering-off one is the
+	// control every ordering-on row is verified against.
+	dbOn := openDB(false, values)
+	dbOff := openDB(true, values)
+	for _, k := range ks {
+		for _, band := range []int{0, 8} {
+			oracle := runMatches(dbOff, queryVals, k, band)
+			for _, procs := range procsList() {
+				for _, ordering := range []bool{false, true} {
+					db := dbOff
+					if ordering {
+						db = dbOn
 					}
+					r, matches, err := runLeg(db, ordering, queryVals, k, band, procs)
+					if err != nil {
+						log.Fatalf("benchknn: ordering=%v k=%d band=%d: %v", ordering, k, band, err)
+					}
+					if err := compareMatches(oracle, matches); err != nil {
+						log.Fatalf("benchknn: k=%d band=%d: ordering=%v diverged from ordering-off oracle: %v",
+							k, band, ordering, err)
+					}
+					rep.Rows = append(rep.Rows, r)
+					if procs == 1 {
+						dtwAt[legKey{k, band, ordering}] = r.DTWCalls
+					}
+					log.Printf("ordering=%-5v k=%-3d band=%d procs=%d: %.1f q/s, %d DTW calls, %d pushes, %d repushes, %d env cutoffs",
+						ordering, k, band, procs, r.QPS, r.DTWCalls, r.FrontierPushes, r.Repushes, r.EnvCutoffs)
 				}
 			}
 		}
-		dbOn.Close()
-		dbOff.Close()
 	}
+	dbOn.Close()
+	dbOff.Close()
 
 	// Fence: ordering must cut exact DTW calls by >= 30% at k=10 band=8.
-	for _, engine := range []string{twsim.EngineGuttman, twsim.EngineFlat} {
-		for _, k := range ks {
-			for _, band := range []int{0, 8} {
-				on, okOn := dtwAt[legKey{engine, k, band, true}]
-				off, okOff := dtwAt[legKey{engine, k, band, false}]
-				if !okOn || !okOff || off == 0 {
-					continue
-				}
-				f := fenceRow{
-					Engine: engine, K: k, Band: band,
-					DTWOn: on, DTWOff: off,
-					DTWReduction: 1 - float64(on)/float64(off),
-				}
-				rep.Fences = append(rep.Fences, f)
-				if !*smoke && k == 10 && band == 8 && f.DTWReduction < 0.30 {
-					log.Fatalf("benchknn: engine=%s k=10 band=8: DTW-call reduction %.1f%% below the 30%% fence (%d -> %d)",
-						engine, 100*f.DTWReduction, off, on)
-				}
-				if k == 10 && band == 8 {
-					log.Printf("fence: engine=%s k=10 band=8: DTW calls %d -> %d (%.1f%% reduction)",
-						engine, off, on, 100*f.DTWReduction)
-				}
+	for _, k := range ks {
+		for _, band := range []int{0, 8} {
+			on, okOn := dtwAt[legKey{k, band, true}]
+			off, okOff := dtwAt[legKey{k, band, false}]
+			if !okOn || !okOff || off == 0 {
+				continue
+			}
+			f := fenceRow{
+				K: k, Band: band,
+				DTWOn: on, DTWOff: off,
+				DTWReduction: 1 - float64(on)/float64(off),
+			}
+			rep.Fences = append(rep.Fences, f)
+			if !*smoke && k == 10 && band == 8 && f.DTWReduction < 0.30 {
+				log.Fatalf("benchknn: k=10 band=8: DTW-call reduction %.1f%% below the 30%% fence (%d -> %d)",
+					100*f.DTWReduction, off, on)
+			}
+			if k == 10 && band == 8 {
+				log.Printf("fence: k=10 band=8: DTW calls %d -> %d (%.1f%% reduction)",
+					off, on, 100*f.DTWReduction)
 			}
 		}
 	}
@@ -219,15 +211,15 @@ func procsList() []int {
 	return []int{1, n}
 }
 
-func openDB(engine string, disableOrdering bool, values [][]float64) *twsim.DB {
+func openDB(disableOrdering bool, values [][]float64) *twsim.DB {
 	// One refine worker: the legs measure the serial walk, so DTW-call
 	// counts and qps are not blurred by intra-query parallelism.
-	db, err := twsim.OpenMem(twsim.Options{IndexEngine: engine, DisableEnvOrdering: disableOrdering, RefineWorkers: 1})
+	db, err := twsim.OpenMem(twsim.Options{DisableEnvOrdering: disableOrdering, RefineWorkers: 1})
 	if err != nil {
-		log.Fatalf("benchknn: open engine=%s: %v", engine, err)
+		log.Fatalf("benchknn: open: %v", err)
 	}
 	if _, err := db.AddAll(values); err != nil {
-		log.Fatalf("benchknn: load engine=%s: %v", engine, err)
+		log.Fatalf("benchknn: load: %v", err)
 	}
 	return db
 }
@@ -244,7 +236,7 @@ func runMatches(db *twsim.DB, queries [][]float64, k, band int) [][]twsim.Match 
 	return out
 }
 
-func runLeg(db *twsim.DB, engine string, ordering bool, queries [][]float64, k, band, procs int) (row, [][]twsim.Match, error) {
+func runLeg(db *twsim.DB, ordering bool, queries [][]float64, k, band, procs int) (row, [][]twsim.Match, error) {
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
 
@@ -267,7 +259,6 @@ func runLeg(db *twsim.DB, engine string, ordering bool, queries [][]float64, k, 
 	wall := time.Since(start)
 
 	r := row{
-		Engine:   engine,
 		Ordering: ordering,
 		K:        k,
 		Band:     band,

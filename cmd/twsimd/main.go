@@ -23,16 +23,6 @@
 // to). 0, the default, means GOMAXPROCS; 1 forces the serial path. Results
 // are bit-identical at every setting.
 //
-// -index-engine E picks the feature index engine: "guttman" (the default
-// R-tree) or "flat" (immutable packed snapshot + mutable delta overlay with
-// background merges; see README). When opening an existing database the
-// flag may be omitted — the engine is auto-detected from the index file on
-// disk — but must match if given. The flat engine's snapshot generation,
-// delta size, and merge latency are exported on GET /metrics
-// (twsim_index_snapshot_generation, twsim_index_delta_entries,
-// twsim_index_merges_total, twsim_index_merge_seconds) and under
-// "index_engine" in GET /stats.
-//
 // -band R sets the default Sakoe–Chiba band half-width every query answers
 // under (0, the default, is the paper's unconstrained distance). Individual
 // /search and /knn requests may override it with a "band" field; negative
@@ -127,7 +117,6 @@ func main() {
 		shards  = flag.Int("shards", 0, "shard count for -create/-mem (0 = unsharded); on open, must match the existing layout")
 		verify  = flag.Bool("verify", false, "run a full heap/index integrity check before serving")
 		workers = flag.Int("refine-workers", 0, "intra-query refinement worker budget per search (0 = GOMAXPROCS, 1 = serial)")
-		engine  = flag.String("index-engine", "", "feature index engine: guttman (R-tree) or flat (packed snapshot + delta overlay); empty auto-detects on open and defaults to guttman on create")
 		band    = flag.Int("band", 0, "default Sakoe-Chiba band half-width queries answer under (0 = unconstrained; requests may override per query)")
 		cacheMB = flag.Int("seq-cache-mb", 4, "decoded-sequence cache size in MiB per partition (0 = disabled)")
 
@@ -161,7 +150,6 @@ func main() {
 	opts := twsim.Options{
 		RefineWorkers:      *workers,
 		Band:               *band,
-		IndexEngine:        *engine,
 		SeqCacheBytes:      int64(*cacheMB) << 20,
 		ResultCacheBytes:   int64(*resultCacheMB) << 20,
 		QueryDeadline:      time.Duration(*deadlineMS) * time.Millisecond,

@@ -69,8 +69,11 @@
 //   - Open reconciles after a crash. The heap is the source of truth and
 //     the index is always derivable from it: orphaned heap records (a
 //     crash between append and index insert) are re-indexed, dangling
-//     index entries are deleted, and an unopenable index file is rebuilt
-//     outright. LastRepair reports what was fixed.
+//     index entries are deleted, and an unopenable or missing index file
+//     is rebuilt outright. A directory created by the removed flat index
+//     engine (feature.flat, no feature.rtree) takes that path, and Open
+//     then deletes the stale feature.flat. LastRepair reports what was
+//     fixed.
 //   - Verify is the read-only integrity check (fsck); Repair is its
 //     fixing counterpart, usable on a live database.
 //

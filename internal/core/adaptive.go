@@ -25,7 +25,7 @@ import (
 // {S : Dtw(S,Q) ≤ ε}.
 type AdaptiveSearch struct {
 	DB    *seqdb.DB
-	Index Index
+	Index *FeatureIndex
 	Base  seq.Base
 	// Cost drives the refinement choice; the zero value means
 	// DefaultCostModel.

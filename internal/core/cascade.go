@@ -39,7 +39,7 @@ import (
 type cascade struct {
 	// paaPruner carries q, base, band, and the cached query-side PAA
 	// reductions; embedding it gives the cascade Tier 0.5 and lets the
-	// flat engine's envelope-tight walk share the identical bound (see
+	// k-NN walk's envelope ordering share the identical bound (see
 	// newPAAPruner).
 	paaPruner
 	fq       [4]float64
@@ -52,11 +52,10 @@ type cascade struct {
 }
 
 // paaPruner is the query-side state of the LB_PAA bound, shared between the
-// cascade's Tier 0.5 and the flat engine's envelope-tight index walk. The
-// two call sites evaluating the same pruner on the same envelope compute
-// bit-identical bounds, which is what keeps the engines' query results (and
-// the conservation law) independent of where the pruning happens. Not safe
-// for concurrent use (the cached reductions fill lazily).
+// cascade's Tier 0.5 and the k-NN walk's envelope-sharpened keys. Both call
+// sites evaluating the same pruner on the same envelope compute
+// bit-identical bounds. Not safe for concurrent use (the cached reductions
+// fill lazily).
 type paaPruner struct {
 	q    seq.Sequence
 	base seq.Base
@@ -66,7 +65,7 @@ type paaPruner struct {
 	paa  paaQuery
 }
 
-// newPAAPruner builds a standalone pruner for the index walk — the cheap
+// newPAAPruner builds a standalone pruner for the k-NN walk — the cheap
 // subset of newCascade (no envelopes).
 func newPAAPruner(q seq.Sequence, base seq.Base, band int) *paaPruner {
 	if band < 0 {

@@ -16,20 +16,8 @@ type FeatureIndex struct {
 	tree *rtree.Tree
 }
 
-// Index engine names accepted by IndexOptions.Engine.
-const (
-	// EngineGuttman is the classic paged Guttman R-tree (the default).
-	EngineGuttman = "guttman"
-	// EngineFlat is the flat snapshot + delta engine: an immutable packed
-	// tree with a mutable overlay and atomic snapshot swap (internal/flatidx).
-	EngineFlat = "flat"
-)
-
 // IndexOptions configures feature index construction.
 type IndexOptions struct {
-	// Engine selects the index engine: EngineGuttman (default when empty)
-	// or EngineFlat.
-	Engine string
 	// PageSize is the index page size (0 = pagefile.DefaultPageSize, the
 	// paper's 1 KB).
 	PageSize int
@@ -37,18 +25,13 @@ type IndexOptions struct {
 	PoolPages int
 	// Split selects the R-tree overflow heuristic.
 	Split rtree.SplitStrategy
-	// OnDiskPath, when non-empty, stores the index in a page file (guttman)
-	// or a CRC-checked snapshot file (flat) at that path instead of in
-	// memory.
+	// OnDiskPath, when non-empty, stores the index in a page file at that
+	// path instead of in memory.
 	OnDiskPath string
 	// WrapBackend, when non-nil, wraps the raw page backend before the
 	// buffer pool is built on it. Fault-injection tests use it to fail
-	// index writes at chosen points. Guttman engine only.
+	// index writes at chosen points.
 	WrapBackend func(pagefile.Backend) pagefile.Backend
-	// FlatMergeThreshold is the flat engine's delta size that schedules a
-	// background merge (0 = flatidx.DefaultMergeThreshold, negative
-	// disables automatic merging). Ignored by the guttman engine.
-	FlatMergeThreshold int
 }
 
 func (o IndexOptions) withDefaults() IndexOptions {
@@ -242,21 +225,26 @@ func (fi *FeatureIndex) RangeQueryEntries(fq seq.Feature, epsilon float64) ([]In
 	return entries, err
 }
 
-// NearestWalk streams sequence IDs in non-decreasing Dtw-lb order from the
-// query feature. The L∞ norm makes the stream order consistent with the
-// lower-bound metric, enabling exact k-NN refinement.
-func (fi *FeatureIndex) NearestWalk(fq seq.Feature, fn func(id seq.ID, lowerBound float64) bool) error {
-	center := fq.Vector()
-	return fi.tree.NearestWalk(center[:], rtree.NormLInf, func(n rtree.Neighbor) bool {
-		return fn(seq.ID(n.Entry.Child), n.Dist)
-	})
+// KNNWalkStats counts one k-NN walk's frontier work.
+type KNNWalkStats struct {
+	// Pushes is the total number of frontier pushes (nodes, items, and
+	// envelope re-keys).
+	Pushes int64
+	// Repushes counts items that re-entered the frontier with an
+	// envelope-sharpened priority.
+	Repushes int64
+	// EnvStops is 1 when the walk was stopped on an item whose key had been
+	// raised above its mindist by the envelope bound — the ordering tier
+	// ended the walk earlier than the mindist alone would have.
+	EnvStops int64
 }
 
 // NearestWalkKeyed streams IDs in non-decreasing key order with the
 // two-level envelope-sharpened frontier: keys are xform(L∞ mindist) raised
 // by sharpen(id) for candidates the callback can bound (the search layer
-// resolves envelopes from the EnvStore). With nil sharpen the stream
-// reduces to the transformed NearestWalk order.
+// resolves envelopes from the EnvStore). With nil sharpen the stream is
+// xform of the Dtw-lb order: the L∞ norm makes the stream order consistent
+// with the lower-bound metric, enabling exact k-NN refinement.
 func (fi *FeatureIndex) NearestWalkKeyed(fq seq.Feature, xform func(float64) float64,
 	sharpen func(id seq.ID) float64, fn func(id seq.ID, key float64) bool) (KNNWalkStats, error) {
 	center := fq.Vector()

@@ -159,7 +159,8 @@ func TestFeatureIndexNearestWalkOrder(t *testing.T) {
 	fq := seq.MustFeature(q)
 	prev := -1.0
 	count := 0
-	err = idx.NearestWalk(fq, func(id seq.ID, lb float64) bool {
+	identity := func(d float64) float64 { return d }
+	_, err = idx.NearestWalkKeyed(fq, identity, nil, func(id seq.ID, lb float64) bool {
 		if lb < prev {
 			t.Fatalf("lower bounds out of order: %g after %g", lb, prev)
 		}

@@ -230,7 +230,7 @@ func (l *LBScan) Search(q seq.Sequence, epsilon float64) (*Result, error) {
 // exact DTW refinement. Theorems 1 and 2 guarantee no false dismissal.
 type TWSimSearch struct {
 	DB    *seqdb.DB
-	Index Index
+	Index *FeatureIndex
 	Base  seq.Base
 	// NoCascade disables the tiered refinement cascade, sending every
 	// candidate straight to the exact early-abandoning DP (the pre-cascade
@@ -282,31 +282,13 @@ func (t *TWSimSearch) Search(q seq.Sequence, epsilon float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var entries []IndexEntry
-	envPruned := 0
-	// Envelope-tight walk: when the engine packs PAA envelopes next to its
-	// leaf entries (the flat engine), the LB_PAA test runs inside the index
-	// walk against the true tolerance ε — a walk-pruned candidate never
-	// reaches the refine loop. The pruner is byte-for-byte the cascade's
-	// Tier 0.5 bound, so results are bit-identical to the other engine and
-	// to the in-cascade placement; the pruned count lands in the same
-	// LBPAAPruned counter to keep the conservation law intact. Delta-overlay
-	// entries pass through unpruned (their envelopes await the next merge)
-	// and get the in-cascade tier instead.
-	if eti, ok := t.Index.(envTightIndex); ok && !t.NoCascade && len(q) > 0 {
-		pruner := newPAAPruner(q, t.Base, t.Band)
-		entries, envPruned, err = eti.RangeQueryEntriesEnv(fq, filterRadius(t.Base, epsilon),
-			func(id seq.ID, pe *seq.PAAEnvelope) bool { return pruner.lbPAA(pe) <= epsilon })
-	} else {
-		entries, err = t.Index.RangeQueryEntries(fq, filterRadius(t.Base, epsilon))
-	}
+	entries, err := t.Index.RangeQueryEntries(fq, filterRadius(t.Base, epsilon))
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
 	res.Stats.FilterWall = time.Since(start)
-	res.Stats.Candidates = len(entries) + envPruned
-	res.Stats.LBPAAPruned = envPruned
+	res.Stats.Candidates = len(entries)
 	refineStart := time.Now()
 	res.Matches, err = refine(t.Ctx, t.DB, t.Base, q, epsilon, entries, t.NoCascade, t.Band, t.Envs, t.Workers, &res.Stats)
 	if err != nil {
@@ -366,7 +348,7 @@ func (t *TWSimSearch) NearestKSharedStats(q seq.Sequence, k int, shared *SharedB
 	return ms, stats, err
 }
 
-// envOrdering reports whether the envelope-tight k-NN tier is active for
+// envOrdering reports whether the envelope-ordered k-NN tier is active for
 // this query: the walk re-keys candidates by max(mindist, LB_PAA) and the
 // refine loop seeds its cutoff from aligned-path upper bounds. Off when
 // the cascade is off (NoCascade keeps the brute-force baseline honest) or
@@ -377,49 +359,31 @@ func (t *TWSimSearch) envOrdering(q seq.Sequence) bool {
 
 // knnWalk runs the index walk for one k-NN query: fn receives candidates in
 // non-decreasing key order, where the key is comparableLB(Base, L∞ mindist)
-// raised — when envelope ordering is enabled and the engine supports it —
-// to max(·, LB_PAA(Q, stored envelope)). Both halves of the max lower-bound
+// raised — when envelope ordering is enabled and envelopes are stored — to
+// max(·, LB_PAA(Q, stored envelope)). Both halves of the max lower-bound
 // the candidate's (banded) DTW distance in comparable space, so a stop on
 // `key > cutoff` dismisses only candidates whose exact distance is already
 // above the cutoff (DESIGN.md §12), just earlier than the mindist alone
-// allows. With ordering off (or unsupported) the same keyed walk runs with
+// allows. With ordering off (or no envelopes) the same keyed walk runs with
 // a nil sharpener, so the stream is the transformed legacy order and the
 // frontier counters stay comparable across modes. The walk's frontier
 // counters land in stats when it finishes.
 func (t *TWSimSearch) knnWalk(q seq.Sequence, fq seq.Feature, stats *QueryStats,
 	fn func(id seq.ID, key float64) bool) error {
 	xform := func(d float64) float64 { return comparableLB(t.Base, d) }
-	useEnv := t.envOrdering(q)
-	if w, ok := t.Index.(knnEnvWalker); ok {
-		var sharpen func(pe *seq.PAAEnvelope) float64
-		if useEnv {
-			pruner := newPAAPruner(q, t.Base, t.Band)
-			sharpen = pruner.lbPAA
-		}
-		ws, err := w.NearestWalkEnv(fq, xform, sharpen, fn)
-		stats.addKNNWalk(ws)
-		return err
-	}
-	if w, ok := t.Index.(knnKeyedWalker); ok {
-		var sharpen func(id seq.ID) float64
-		if useEnv && t.Envs.Len() > 0 {
-			pruner := newPAAPruner(q, t.Base, t.Band)
-			sharpen = func(id seq.ID) float64 {
-				if pe, ok := t.Envs.Get(id); ok {
-					return pruner.lbPAA(&pe)
-				}
-				return 0
+	var sharpen func(id seq.ID) float64
+	if t.envOrdering(q) && t.Envs.Len() > 0 {
+		pruner := newPAAPruner(q, t.Base, t.Band)
+		sharpen = func(id seq.ID) float64 {
+			if pe, ok := t.Envs.Get(id); ok {
+				return pruner.lbPAA(&pe)
 			}
+			return 0
 		}
-		ws, err := w.NearestWalkKeyed(fq, xform, sharpen, fn)
-		stats.addKNNWalk(ws)
-		return err
 	}
-	// Engines without a keyed walk stream raw mindists; apply the transform
-	// here so the stop test is identical.
-	return t.Index.NearestWalk(fq, func(id seq.ID, lb float64) bool {
-		return fn(id, comparableLB(t.Base, lb))
-	})
+	ws, err := t.Index.NearestWalkKeyed(fq, xform, sharpen, fn)
+	stats.addKNNWalk(ws)
+	return err
 }
 
 // nearestKShared is NearestKShared with the per-tier work counters

@@ -12,7 +12,7 @@ import (
 
 // ResultCache is a byte-budgeted, lock-striped LRU of whole-query results.
 // Memoizing entire answers is sound because the pipeline is exact: for a
-// fixed (query, kind, parameter, band, base, engine) the matches are a pure
+// fixed (query, kind, parameter, band, base) the matches are a pure
 // function of the database contents, so a stored result is bit-identical to
 // a recomputation as long as no write intervened.
 //
@@ -86,7 +86,7 @@ func (s ResultCacheStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Add accumulates other into s (aggregation across engines or shards).
+// Add accumulates other into s (aggregation across shards).
 func (s *ResultCacheStats) Add(other ResultCacheStats) {
 	s.Hits += other.Hits
 	s.Misses += other.Misses
@@ -114,19 +114,16 @@ func NewResultCache(budgetBytes int64) *ResultCache {
 }
 
 // ResultCacheKey builds the lookup key for one query. kind distinguishes
-// the query families sharing a cache ('r' = range/ε, 'k' = k-NN); base,
-// engine, and band pin the distance answered and the machinery that
-// answered it; epsilon/k are the family parameter (the unused one is
-// zero); the query's raw float64 bits complete the key, so two queries
-// collide only if they are the same query in every respect.
-func ResultCacheKey(kind byte, base seq.Base, engine string, band int, epsilon float64, k int, query []float64) string {
-	buf := make([]byte, 0, 24+len(engine)+1+8*len(query))
+// the query families sharing a cache ('r' = range/ε, 'k' = k-NN); base and
+// band pin the distance answered; epsilon/k are the family parameter (the
+// unused one is zero); the query's raw float64 bits complete the key, so
+// two queries collide only if they are the same query in every respect.
+func ResultCacheKey(kind byte, base seq.Base, band int, epsilon float64, k int, query []float64) string {
+	buf := make([]byte, 0, 18+8*len(query))
 	buf = append(buf, kind, byte(base))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(band))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(epsilon))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
-	buf = append(buf, engine...)
-	buf = append(buf, 0)
 	for _, v := range query {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}

@@ -79,7 +79,7 @@ type QueryStats struct {
 	// surface as CorridorPruned instead.
 	DTWAbandoned int
 	// KNNFrontierPushes counts k-NN walk frontier pushes (nodes, items, and
-	// envelope re-keys) across both engines' keyed walks.
+	// envelope re-keys).
 	KNNFrontierPushes int
 	// KNNRepushes counts k-NN candidates that re-entered the walk frontier
 	// with an envelope-sharpened priority.

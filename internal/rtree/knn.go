@@ -39,8 +39,8 @@ func (q *pqueue) Pop() interface{} {
 	return it
 }
 
-// WalkStats counts one nearest walk's frontier work (same meaning as
-// flatidx.WalkStats, so the search layer aggregates both engines alike).
+// WalkStats counts one nearest walk's frontier work (reported to the
+// search layer as core.KNNWalkStats).
 type WalkStats struct {
 	Pushes   int64
 	Repushes int64

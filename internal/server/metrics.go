@@ -82,25 +82,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.GaugeFunc("twsim_data_bytes", "", "Logical bytes of stored sequence data.", func() float64 { return float64(s.backend.DataBytes()) })
 	reg.GaugeFunc("twsim_index_pages", "", "Feature index size in pages.", func() float64 { return float64(s.backend.IndexPages()) })
 
-	// Flat-engine snapshot/delta instrumentation: every collector snapshots
-	// IndexEngineStats at scrape time. Under the Guttman engine the gauges
-	// read 0 and the merge histogram stays empty; with shards the counters
-	// sum (generation/delta entries across shards, merge observations
-	// pooled).
-	engine := func(sel func(core.IndexEngineStats) float64) func() float64 {
-		return func() float64 { return sel(s.backend.IndexEngineStats()) }
-	}
-	reg.GaugeFunc("twsim_index_snapshot_generation", "", "Flat-engine snapshot generation (sum over shards; 0 under the Guttman engine).",
-		engine(func(st core.IndexEngineStats) float64 { return float64(st.Generation) }))
-	reg.GaugeFunc("twsim_index_delta_entries", "", "Flat-engine delta-overlay entries not yet merged into the packed snapshot (adds + tombstones, summed over shards).",
-		engine(func(st core.IndexEngineStats) float64 { return float64(st.DeltaEntries) }))
-	reg.CounterFunc("twsim_index_merges_total", "", "Flat-engine snapshot rebuilds (delta merged into a new packed slab and atomically swapped in).",
-		engine(func(st core.IndexEngineStats) float64 { return float64(st.Merges) }))
-	reg.GaugeFunc("twsim_index_mmap_bytes", "", "Flat-engine snapshot bytes served from a live file mapping (0 when heap-backed, summed over shards).",
-		engine(func(st core.IndexEngineStats) float64 { return float64(st.MmapBytes) }))
-	reg.HistogramFunc("twsim_index_merge_seconds", "", "Flat-engine snapshot merge latency (slab rebuild + atomic swap).",
-		func() obs.HistogramData { return s.backend.IndexEngineStats().MergeHist })
-
 	// Storage-layer counters: buffer pools and the decoded-sequence cache.
 	// Each collector snapshots StorageStats at scrape time; snapshots are
 	// weakly consistent (see twsim.StorageStats), which is fine for ratios.

@@ -286,12 +286,6 @@ func (l *lockedDB) StorageStats() twsim.StorageStats {
 	return l.db.StorageStats()
 }
 
-func (l *lockedDB) IndexEngineStats() core.IndexEngineStats {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.IndexEngineStats()
-}
-
 func (l *lockedDB) OpenDiagnostics() []string {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -555,7 +549,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w)
 		return
 	}
-	ies := s.backend.IndexEngineStats()
 	rcs := s.backend.ResultCacheStats()
 	out := map[string]any{
 		"sequences":    s.backend.Len(),
@@ -564,13 +557,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"repair":       repairJSON(s.backend.LastRepair()),
 		"query_totals": s.totals.json(),
 		"storage":      storageJSON(s.backend.StorageStats()),
-		"index_engine": map[string]any{
-			"engine":              ies.Engine,
-			"snapshot_generation": ies.Generation,
-			"delta_entries":       ies.DeltaEntries,
-			"merges":              ies.Merges,
-			"slab_bytes":          ies.SlabBytes,
-		},
 		"result_cache": map[string]any{
 			"hits":          rcs.Hits,
 			"misses":        rcs.Misses,

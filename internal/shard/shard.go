@@ -56,7 +56,6 @@ type Store interface {
 	SearchBandWorkersCtx(ctx context.Context, query []float64, epsilon float64, band, workers int) (*core.Result, error)
 	NearestKStatsBandWorkersCtx(ctx context.Context, query []float64, k, band int, bound *core.SharedBound, workers int) ([]core.Match, core.QueryStats, error)
 	StorageStats() core.StorageStats
-	IndexEngineStats() core.IndexEngineStats
 	OpenDiagnostics() []string
 	Len() int
 	DataBytes() int64
@@ -268,19 +267,6 @@ func (e *Engine) StorageStats() core.StorageStats {
 	for i := range e.stores {
 		e.locks[i].RLock()
 		total.Add(e.stores[i].StorageStats())
-		e.locks[i].RUnlock()
-	}
-	return total
-}
-
-// IndexEngineStats aggregates the feature-index engine counters across
-// shards (snapshot generations, delta sizes, merge counts for the flat
-// engine).
-func (e *Engine) IndexEngineStats() core.IndexEngineStats {
-	var total core.IndexEngineStats
-	for i := range e.stores {
-		e.locks[i].RLock()
-		total.Add(e.stores[i].IndexEngineStats())
 		e.locks[i].RUnlock()
 	}
 	return total

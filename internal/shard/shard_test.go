@@ -79,10 +79,6 @@ func (f *fakeStore) NearestKStatsBandWorkersCtx(ctx context.Context, query []flo
 
 func (f *fakeStore) StorageStats() core.StorageStats { return core.StorageStats{} }
 
-func (f *fakeStore) IndexEngineStats() core.IndexEngineStats {
-	return core.IndexEngineStats{Engine: core.EngineGuttman}
-}
-
 func (f *fakeStore) OpenDiagnostics() []string { return nil }
 
 func (f *fakeStore) Len() int {

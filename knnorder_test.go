@@ -33,7 +33,7 @@ func knnCorpus(rng *rand.Rand, n, length, queries int) (data, qs [][]float64) {
 }
 
 // TestNearestKOrderingOracle is the envelope-ordering bit-identity matrix:
-// for every base × backend shape × engine × band × worker budget, a
+// for every base × backend shape × band × worker budget, a
 // database with envelope-sharpened k-NN ordering (the default) and one
 // with it disabled must return identical matches — same IDs, same float64
 // distances, same order — for every query and k. The ordering tier re-keys
@@ -45,95 +45,75 @@ func TestNearestKOrderingOracle(t *testing.T) {
 
 	for _, base := range []twsim.Base{twsim.BaseLInf, twsim.BaseL1, twsim.BaseL2Sq} {
 		for _, sharded := range []bool{false, true} {
-			for _, engine := range []string{twsim.EngineGuttman, twsim.EngineFlat} {
-				for _, band := range []int{0, 8} {
-					for _, workers := range []int{1, 4} {
-						name := fmt.Sprintf("base=%v/sharded=%v/engine=%s/band=%d/workers=%d",
-							base, sharded, engine, band, workers)
-						t.Run(name, func(t *testing.T) {
-							open := func(disable bool) queryDB {
-								opts := twsim.Options{
-									Base:               base,
-									Band:               band,
-									RefineWorkers:      workers,
-									IndexEngine:        engine,
-									FlatMergeThreshold: 32,
-									DisableEnvOrdering: disable,
-								}
-								var b queryDB
-								var err error
-								if sharded {
-									b, err = twsim.OpenMemSharded(twsim.ShardedOptions{Options: opts, Shards: 3})
-								} else {
-									b, err = twsim.OpenMem(opts)
-								}
+			for _, band := range []int{0, 8} {
+				for _, workers := range []int{1, 4} {
+					name := fmt.Sprintf("base=%v/sharded=%v/band=%d/workers=%d",
+						base, sharded, band, workers)
+					t.Run(name, func(t *testing.T) {
+						open := func(disable bool) queryDB {
+							opts := twsim.Options{
+								Base:               base,
+								Band:               band,
+								RefineWorkers:      workers,
+								DisableEnvOrdering: disable,
+							}
+							var b queryDB
+							var err error
+							if sharded {
+								b, err = twsim.OpenMemSharded(twsim.ShardedOptions{Options: opts, Shards: 3})
+							} else {
+								b, err = twsim.OpenMem(opts)
+							}
+							if err != nil {
+								t.Fatalf("open (disable=%v): %v", disable, err)
+							}
+							if _, err := b.AddBatch(data); err != nil {
+								t.Fatalf("load (disable=%v): %v", disable, err)
+							}
+							return b
+						}
+						on := open(false)
+						defer on.Close()
+						off := open(true)
+						defer off.Close()
+						for qi, q := range qs {
+							for _, k := range []int{1, 7} {
+								rOn, err := on.NearestKCtx(bg, q, k, band)
 								if err != nil {
-									t.Fatalf("open (disable=%v): %v", disable, err)
+									t.Fatal(err)
 								}
-								if _, err := b.AddBatch(data); err != nil {
-									t.Fatalf("load (disable=%v): %v", disable, err)
+								rOff, err := off.NearestKCtx(bg, q, k, band)
+								if err != nil {
+									t.Fatal(err)
 								}
-								return b
-							}
-							on := open(false)
-							defer on.Close()
-							off := open(true)
-							defer off.Close()
-							for qi, q := range qs {
-								for _, k := range []int{1, 7} {
-									rOn, err := on.NearestKCtx(bg, q, k, band)
-									if err != nil {
-										t.Fatal(err)
-									}
-									rOff, err := off.NearestKCtx(bg, q, k, band)
-									if err != nil {
-										t.Fatal(err)
-									}
-									mOn, mOff := rOn.Matches, rOff.Matches
-									if !matchesEqual(mOn, mOff) {
-										t.Fatalf("query %d k=%d: ordering on/off diverged: on=%v off=%v",
-											qi, k, mOn, mOff)
-									}
+								mOn, mOff := rOn.Matches, rOff.Matches
+								if !matchesEqual(mOn, mOff) {
+									t.Fatalf("query %d k=%d: ordering on/off diverged: on=%v off=%v",
+										qi, k, mOn, mOff)
 								}
 							}
-						})
-					}
+						}
+					})
 				}
 			}
 		}
 	}
 }
 
-// TestNearestKMmapOracle: a flat-engine database answers k-NN and range
-// queries bit-identically whether its snapshot slab is mmap'd or read
-// eagerly through the TWSIM_NO_MMAP fallback.
-func TestNearestKMmapOracle(t *testing.T) {
+// TestNearestKReopenOracle: an on-disk banded database answers k-NN and
+// range queries bit-identically before Close and after Open, so the index
+// read back from feature.rtree is the one that was written.
+func TestNearestKReopenOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(911))
 	data, qs := knnCorpus(rng, 150, 64, 4)
 	dir := t.TempDir()
 
-	opts := twsim.Options{Band: 8, IndexEngine: twsim.EngineFlat}
-	db, err := twsim.Create(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.AddAll(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
+	opts := twsim.Options{Band: 8}
 	type answers struct {
 		knn     [][]twsim.Match
 		matches [][]twsim.Match
 	}
-	collect := func() answers {
-		db, err := twsim.Open(dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
+	collect := func(db *twsim.DB) answers {
 		var a answers
 		for _, q := range qs {
 			ms, err := db.NearestK(q, 5) // Options.Band is 8
@@ -150,16 +130,45 @@ func TestNearestKMmapOracle(t *testing.T) {
 		return a
 	}
 
-	mapped := collect()
-	t.Setenv("TWSIM_NO_MMAP", "1")
-	fallback := collect()
+	db, err := twsim.Create(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddAll(data); err != nil {
+		t.Fatal(err)
+	}
+	before := collect(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = twsim.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if notes := db.OpenDiagnostics(); len(notes) != 0 {
+		t.Fatalf("clean reopen left diagnostics: %v", notes)
+	}
+	after := collect(db)
 
 	for qi := range qs {
-		if !matchesEqual(mapped.knn[qi], fallback.knn[qi]) {
-			t.Fatalf("query %d: k-NN diverged between mmap and fallback opens", qi)
+		if !matchesEqual(before.knn[qi], after.knn[qi]) {
+			t.Fatalf("query %d: k-NN diverged across Close/Open", qi)
 		}
-		if !matchesEqual(mapped.matches[qi], fallback.matches[qi]) {
-			t.Fatalf("query %d: Search diverged between mmap and fallback opens", qi)
+		if !matchesEqual(before.matches[qi], after.matches[qi]) {
+			t.Fatalf("query %d: Search diverged across Close/Open", qi)
 		}
 	}
+}
+
+func matchesEqual(a, b []twsim.Match) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || a[i].Dist != b[i].Dist {
+			return false
+		}
+	}
+	return true
 }

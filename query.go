@@ -77,17 +77,16 @@ type queryEngine interface {
 }
 
 // queryPath is the front half every query of a DB or ShardedDB passes
-// through; both embed it. It owns the options, the base distance, the
-// whole-query result cache, and the engine name result-cache keys carry.
+// through; both embed it. It owns the options, the base distance and the
+// whole-query result cache.
 type queryPath struct {
-	opts     Options
-	base     Base
-	rcache   *core.ResultCache // nil when Options.ResultCacheBytes == 0
-	cacheTag string
+	opts   Options
+	base   Base
+	rcache *core.ResultCache // nil when Options.ResultCacheBytes == 0
 }
 
-func newQueryPath(opts Options, cacheTag string) queryPath {
-	return queryPath{opts: opts, base: opts.Base, rcache: core.NewResultCache(opts.ResultCacheBytes), cacheTag: cacheTag}
+func newQueryPath(opts Options) queryPath {
+	return queryPath{opts: opts, base: opts.Base, rcache: core.NewResultCache(opts.ResultCacheBytes)}
 }
 
 // run answers one query: validate, consult the result cache, attach the
@@ -105,7 +104,7 @@ func (p *queryPath) run(ctx context.Context, e queryEngine, q querySpec) (*Resul
 	var preGen uint64
 	if p.rcache != nil {
 		start := time.Now()
-		key = core.ResultCacheKey(byte(q.kind), p.base, p.cacheTag, q.band, q.epsilon, q.k, q.values)
+		key = core.ResultCacheKey(byte(q.kind), p.base, q.band, q.epsilon, q.k, q.values)
 		preGen = e.Generation() // before any index/heap read of this query
 		if ms, ok := p.rcache.Get(key, preGen); ok {
 			return p.finish(q.logKind(), q, cachedResult(ms, start)), nil

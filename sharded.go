@@ -123,7 +123,7 @@ func newShardedDB(dbs []*DB, dir string, opts ShardedOptions) (*ShardedDB, error
 		closeAll(dbs)
 		return nil, err
 	}
-	return &ShardedDB{queryPath: newQueryPath(opts.Options, "sharded"), eng: eng, dbs: dbs, dir: dir}, nil
+	return &ShardedDB{queryPath: newQueryPath(opts.Options), eng: eng, dbs: dbs, dir: dir}, nil
 }
 
 // shardStore adapts one shard's *DB to shard.Store. The engine reaches the
@@ -242,9 +242,6 @@ func (s *ShardedDB) LastRepair() RepairStats { return s.eng.LastRepair() }
 
 // StorageStats snapshots the storage-layer counters summed over shards.
 func (s *ShardedDB) StorageStats() StorageStats { return s.eng.StorageStats() }
-
-// IndexEngineStats aggregates the per-shard feature-index engine counters.
-func (s *ShardedDB) IndexEngineStats() core.IndexEngineStats { return s.eng.IndexEngineStats() }
 
 // WALStats sums the per-shard write-ahead-log counters (each shard runs
 // its own group-commit log; all zero when the WAL is disabled).

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fsx"
 	"repro/internal/rtree"
 	"repro/internal/seq"
 	"repro/internal/seqdb"
@@ -70,35 +71,11 @@ const (
 	SplitLinear    = rtree.LinearSplit
 )
 
-// Index engine names for Options.IndexEngine.
-const (
-	// EngineGuttman is the classic paged Guttman R-tree (the default).
-	EngineGuttman = core.EngineGuttman
-	// EngineFlat is the flat snapshot + delta engine: an immutable packed
-	// tree walked lock- and allocation-free, a small mutable delta absorbing
-	// writes, and a background merge that atomically swaps snapshots. It
-	// also packs each sequence's PAA envelope next to its leaf entry, making
-	// the index walk itself envelope-tight. Query results are bit-identical
-	// to the guttman engine.
-	EngineFlat = core.EngineFlat
-)
-
 // Options configures a DB.
 type Options struct {
 	// Base is the per-element distance inside DTW. The zero value is
 	// BaseLInf, the paper's model.
 	Base Base
-	// IndexEngine selects the feature-index engine: EngineGuttman or
-	// EngineFlat. Empty means: the engine an existing database was created
-	// with (detected from which index file is present), guttman for new
-	// databases. Results are bit-identical across engines; only the read
-	// path's machinery differs.
-	IndexEngine string
-	// FlatMergeThreshold is the flat engine's delta size (adds + tombstones)
-	// that schedules a background snapshot merge. 0 means the engine
-	// default; negative disables automatic merging (Flush/Close still merge
-	// synchronously). Ignored by the guttman engine.
-	FlatMergeThreshold int
 	// PageSize is the page size of both the data heap file and the index
 	// (0 = 1 KB, the paper's setting).
 	PageSize int
@@ -156,8 +133,8 @@ type Options struct {
 	// databases.
 	SlowQueryLogger *log.Logger
 	// ResultCacheBytes sizes the whole-query result cache: a byte-budgeted
-	// LRU of exact answers keyed by (query, kind, ε or k, band, base,
-	// engine). A hit returns the stored matches with zero index, heap, or
+	// LRU of exact answers keyed by (query, kind, ε or k, band, base). A
+	// hit returns the stored matches with zero index, heap, or
 	// DTW work and a fresh RequestID. Coherence is by write generation:
 	// every Add/AddAll/AddBatch/Remove/Repair bumps a per-database counter,
 	// and an entry whose generation stamp is stale is discarded on lookup —
@@ -214,10 +191,9 @@ type RepairStats = core.RepairStats
 type DB struct {
 	queryPath   // options, base distance, result cache
 	store       *seqdb.DB
-	index       core.Index
+	index       *core.FeatureIndex
 	envs        *core.EnvStore
 	dir         string // empty when in-memory
-	engine      string // resolved index engine
 	repair      RepairStats
 	envsRebuilt bool     // Open rebuilt the envelope sidecar; Flush persists it
 	openNotes   []string // one line per Open-time repair/rebuild (OpenDiagnostics)
@@ -235,44 +211,21 @@ type DB struct {
 }
 
 const (
-	indexFileName     = "feature.rtree" // guttman engine page file
-	flatIndexFileName = "feature.flat"  // flat engine snapshot file
-	envsFileName      = "envelopes.paa"
+	indexFileName = "feature.rtree"
+	envsFileName  = "envelopes.paa"
+	// staleFlatIndexFileName is the snapshot file of a feature-index
+	// engine earlier builds offered. Nothing reads it; Open deletes it.
+	staleFlatIndexFileName = "feature.flat"
 )
 
-// resolveEngine picks the index engine: the explicit option when set, else
-// the engine an existing on-disk database was created with (detected from
-// which index file is present), else guttman.
-func (o Options) resolveEngine(dir string) string {
-	if o.IndexEngine != "" {
-		return o.IndexEngine
-	}
-	if dir != "" {
-		if _, err := os.Stat(filepath.Join(dir, flatIndexFileName)); err == nil {
-			return core.EngineFlat
-		}
-	}
-	return core.EngineGuttman
-}
-
-// indexFileFor returns the index file name the engine persists to.
-func indexFileFor(engine string) string {
-	if engine == core.EngineFlat {
-		return flatIndexFileName
-	}
-	return indexFileName
-}
-
-// indexOptions assembles the core-level index options for the resolved
-// engine; path is empty for in-memory databases.
-func (o Options) indexOptions(engine, path string) core.IndexOptions {
+// indexOptions assembles the core-level index options; path is empty for
+// in-memory databases.
+func (o Options) indexOptions(path string) core.IndexOptions {
 	return core.IndexOptions{
-		Engine:             engine,
-		PageSize:           o.PageSize,
-		PoolPages:          o.PoolPages,
-		Split:              o.Split,
-		OnDiskPath:         path,
-		FlatMergeThreshold: o.FlatMergeThreshold,
+		PageSize:   o.PageSize,
+		PoolPages:  o.PoolPages,
+		Split:      o.Split,
+		OnDiskPath: path,
 	}
 }
 
@@ -282,18 +235,13 @@ func (db *DB) note(format string, args ...any) {
 }
 
 // OpenDiagnostics returns one human-readable line per repair or rebuild the
-// most recent Open (or Repair) performed — index rebuilt from the heap,
-// snapshot file rejected by its checksum, envelope sidecar re-derived.
+// most recent Open (or Repair) performed — index rebuilt from the heap or
+// reconciled with it, envelope sidecar re-derived.
 // Empty when the database opened clean. twsimd logs each line at startup so
 // silent self-healing leaves a trace.
 func (db *DB) OpenDiagnostics() []string {
 	return append([]string(nil), db.openNotes...)
 }
-
-// IndexEngineStats describes the resolved index engine: its name and, for
-// the flat engine, snapshot generation, delta size, merge count, and
-// snapshot slab size.
-func (db *DB) IndexEngineStats() core.IndexEngineStats { return db.index.EngineStats() }
 
 // OpenMem creates an ephemeral in-memory database (page layout and buffer
 // accounting identical to the on-disk form).
@@ -302,13 +250,12 @@ func OpenMem(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := opts.resolveEngine("")
-	index, err := core.NewIndex(opts.indexOptions(engine, ""))
+	index, err := core.NewFeatureIndex(opts.indexOptions(""))
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
-	return &DB{queryPath: newQueryPath(opts, engine), store: store, index: index, envs: core.NewEnvStore(), engine: engine}, nil
+	return &DB{queryPath: newQueryPath(opts), store: store, index: index, envs: core.NewEnvStore()}, nil
 }
 
 // Create creates a new on-disk database in directory dir.
@@ -317,13 +264,12 @@ func Create(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := opts.resolveEngine("")
-	index, err := core.NewIndex(opts.indexOptions(engine, filepath.Join(dir, indexFileFor(engine))))
+	index, err := core.NewFeatureIndex(opts.indexOptions(filepath.Join(dir, indexFileName)))
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
-	db := &DB{queryPath: newQueryPath(opts, engine), store: store, index: index, envs: core.NewEnvStore(), dir: dir, engine: engine}
+	db := &DB{queryPath: newQueryPath(opts), store: store, index: index, envs: core.NewEnvStore(), dir: dir}
 	if opts.WAL {
 		wlog, err := wal.Create(filepath.Join(dir, walFileName), 1, opts.walOptions())
 		if err != nil {
@@ -350,8 +296,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("twsim: %s does not contain a database: %w", dir, err)
 	}
-	engine := opts.resolveEngine(dir)
-	db := &DB{queryPath: newQueryPath(opts, engine), store: store, dir: dir, engine: engine}
+	db := &DB{queryPath: newQueryPath(opts), store: store, dir: dir}
 	if opts.WAL {
 		// Replay the WAL tail over the heap before the index opens: the
 		// index layers below reconcile against whatever the heap holds, so
@@ -362,11 +307,11 @@ func Open(dir string, opts Options) (*DB, error) {
 			return nil, fmt.Errorf("twsim: write-ahead log: %w", err)
 		}
 	}
-	index, err := core.OpenIndex(filepath.Join(dir, indexFileFor(engine)), opts.indexOptions(engine, ""))
+	index, err := core.OpenFeatureIndex(filepath.Join(dir, indexFileName), opts.indexOptions(""))
 	if err != nil {
-		// Unopenable (missing, truncated, corrupt CRC, wrong dimension):
-		// rebuild it from the heap.
-		db.note("index engine=%s file=%s rebuilt-on-open: %v", engine, indexFileFor(engine), err)
+		// Unopenable (missing, truncated, wrong dimension): rebuild it from
+		// the heap.
+		db.note("index file=%s rebuilt-on-open: %v", indexFileName, err)
 		if err := db.rebuildIndex(); err != nil {
 			store.Close()
 			return nil, fmt.Errorf("twsim: rebuilding index: %w", err)
@@ -382,6 +327,10 @@ func Open(dir string, opts Options) (*DB, error) {
 			db.Close()
 			return nil, err
 		}
+		if err := removeStaleFlatIndex(dir); err != nil {
+			db.Close()
+			return nil, err
+		}
 		return db, nil
 	}
 	db.index = index
@@ -390,7 +339,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		// Replayed mutations can leave the live count unchanged (an add
 		// plus a remove) while contents diverge, so any replay forces the
 		// reconcile rather than trusting the count check alone.
-		db.note("index engine=%s reconciled-on-open: indexed=%d live=%d", engine, index.Len(), store.Len())
+		db.note("index reconciled-on-open: indexed=%d live=%d", index.Len(), store.Len())
 		if _, err := db.Repair(); err != nil {
 			db.Close()
 			return nil, err
@@ -409,6 +358,10 @@ func Open(dir string, opts Options) (*DB, error) {
 			db.Close()
 			return nil, err
 		}
+	}
+	if err := removeStaleFlatIndex(dir); err != nil {
+		db.Close()
+		return nil, err
 	}
 	return db, nil
 }
@@ -438,23 +391,34 @@ func (db *DB) loadEnvs() error {
 	return nil
 }
 
+// removeStaleFlatIndex deletes the snapshot file a directory created by
+// the removed flat index engine still holds, and syncs the directory so
+// the deletion is durable. Open calls it once feature.rtree is valid on
+// disk: such a directory has no feature.rtree, so Open has just rebuilt
+// the R-tree from the heap and flushed it, or a crash interrupted an
+// earlier migration after that flush.
+func removeStaleFlatIndex(dir string) error {
+	if err := os.Remove(filepath.Join(dir, staleFlatIndexFileName)); err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return err
+	}
+	return fsx.SyncDir(dir)
+}
+
 // rebuildIndex replaces db.index with one bulk-loaded from the live heap
-// records, recording the repair in db.repair. Both engines' index files are
-// removed first (when on disk): rebuilding under one engine must not leave
-// the other engine's stale file behind to be auto-detected — and silently
-// resurrected — by a later engine-less Open. The previous index, if any,
+// records, recording the repair in db.repair. The previous index, if any,
 // must already be closed.
 func (db *DB) rebuildIndex() error {
 	path := ""
 	if db.dir != "" {
-		for _, name := range []string{indexFileName, flatIndexFileName} {
-			if err := os.Remove(filepath.Join(db.dir, name)); err != nil && !os.IsNotExist(err) {
-				return err
-			}
+		path = filepath.Join(db.dir, indexFileName)
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return err
 		}
-		path = filepath.Join(db.dir, indexFileFor(db.engine))
 	}
-	index, rs, err := core.RebuildIndex(db.store, db.opts.indexOptions(db.engine, path))
+	index, rs, err := core.RebuildIndex(db.store, db.opts.indexOptions(path))
 	if err != nil {
 		return err
 	}
@@ -600,26 +564,13 @@ func (db *DB) applyAddAll(values [][]float64) (ID, error) {
 		}
 		return appended[0], nil
 	}
-	loader, wantEnvs := db.index.(core.EnvBulkLoader)
 	features := make([]seq.Feature, 0, len(values))
-	var envelopes []seq.PAAEnvelope
-	if wantEnvs {
-		envelopes = make([]seq.PAAEnvelope, 0, len(values))
-	}
 	for _, v := range values {
 		s := seq.Sequence(v)
 		f, err := seq.ExtractFeature(s)
 		if err != nil {
 			rollback()
 			return seq.InvalidID, err
-		}
-		if wantEnvs {
-			pe, err := seq.ExtractPAAEnvelope(s)
-			if err != nil {
-				rollback()
-				return seq.InvalidID, err
-			}
-			envelopes = append(envelopes, pe)
 		}
 		id, err := db.store.Append(s)
 		if err != nil {
@@ -630,18 +581,10 @@ func (db *DB) applyAddAll(values [][]float64) (ID, error) {
 		features = append(features, f)
 	}
 	// BulkLoad is internally atomic: on failure the index is still empty
-	// and only the heap appends need undoing. Engines that pack PAA
-	// envelopes into the index (the flat engine) get them supplied here so
-	// the packed leaves are envelope-tight from the first query.
-	var loadErr error
-	if wantEnvs {
-		loadErr = loader.BulkLoadEnv(appended, features, envelopes)
-	} else {
-		loadErr = db.index.BulkLoad(appended, features)
-	}
-	if loadErr != nil {
+	// and only the heap appends need undoing.
+	if err := db.index.BulkLoad(appended, features); err != nil {
 		rollback()
-		return seq.InvalidID, loadErr
+		return seq.InvalidID, err
 	}
 	for i, id := range appended {
 		if pe, err := seq.ExtractPAAEnvelope(seq.Sequence(values[i])); err == nil {
