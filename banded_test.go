@@ -110,7 +110,7 @@ func TestBandedSearchMatchesBruteForce(t *testing.T) {
 }
 
 // TestNearestKBandMatchesBruteForce: banded k-NN against the brute-force
-// banded top-k, on both engines.
+// banded top-k, on both backends (DB and ShardedDB).
 func TestNearestKBandMatchesBruteForce(t *testing.T) {
 	data := randomWalks(2029, 90, 10, 30)
 	for _, sharded := range []bool{false, true} {
@@ -164,13 +164,15 @@ func TestNearestKBandMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestChurnMatchesBruteForce: Search, NearestK and SearchBatchCtx stay
+// TestFlatEngineOracle: Search, NearestK and SearchBatchCtx stay
 // bit-identical to a brute-force scan of the live sequences through a
 // lifecycle of bulk load, a second batch, and interleaved removes — across
 // all three bases, both backends (DB and ShardedDB), serial and parallel
 // refinement, and unbanded plus banded queries. Every range answer must
 // also satisfy the conservation law, and the database must pass Verify.
-func TestChurnMatchesBruteForce(t *testing.T) {
+// The name is kept from when this oracle compared the flat snapshot engine
+// against the R-tree; the reference is now a brute-force scan.
+func TestFlatEngineOracle(t *testing.T) {
 	bases := map[string]twsim.Base{"linf": twsim.BaseLInf, "l1": twsim.BaseL1, "l2sq": twsim.BaseL2Sq}
 	data := randomWalks(4243, 130, 12, 40)
 	extra := randomWalks(4244, 60, 12, 40)

@@ -38,7 +38,9 @@ func knnCorpus(rng *rand.Rand, n, length, queries int) (data, qs [][]float64) {
 // with it disabled must return identical matches — same IDs, same float64
 // distances, same order — for every query and k. The ordering tier re-keys
 // candidates by sound lower bounds and defers exact DP work; it may only
-// reorder and skip work, never change an answer (DESIGN.md §12).
+// reorder and skip work, never change an answer (DESIGN.md §12). Subtest
+// names keep their engine=guttman segment from when the matrix also had a
+// flat-engine axis, so each leg is still reported under one stable name.
 func TestNearestKOrderingOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(811))
 	data, qs := knnCorpus(rng, 120, 64, 4)
@@ -47,7 +49,7 @@ func TestNearestKOrderingOracle(t *testing.T) {
 		for _, sharded := range []bool{false, true} {
 			for _, band := range []int{0, 8} {
 				for _, workers := range []int{1, 4} {
-					name := fmt.Sprintf("base=%v/sharded=%v/band=%d/workers=%d",
+					name := fmt.Sprintf("base=%v/sharded=%v/engine=guttman/band=%d/workers=%d",
 						base, sharded, band, workers)
 					t.Run(name, func(t *testing.T) {
 						open := func(disable bool) queryDB {
